@@ -29,7 +29,8 @@ from .chains import (
     simulate_batch,
     stationary_distribution,
 )
-from .solver import MaxEntTable, maxent_2state, maxent_table
+from .estimators import maxent_entries
+from .solver import maxent_2state
 
 DEFAULT_CAP = 500
 DEFAULT_REPLICATES = 200
@@ -254,14 +255,17 @@ def _empirical_weighted_gain(
     n: int,
     replicates: int,
     rng: np.random.Generator,
-    table: MaxEntTable,
+    lattice: np.ndarray,
 ) -> float:
-    """Stationary-weighted mean error gain of maxent over sampling at size ``n``."""
+    """Stationary-weighted mean error gain of maxent over sampling at size ``n``.
+
+    ``lattice[S + n - 1]`` is the maxent matrix of pair-sum ``S``.
+    """
     k = entries.shape[0]
     paths = simulate_batch(entries, p, n, replicates, rng)
     xs = x[paths]
-    acfs = (xs[:, :-1] * xs[:, 1:]).mean(axis=1)
-    err_me = np.abs(table.entries_at(acfs) - entries).mean(axis=0)
+    pair_sums = (xs[:, :-1] * xs[:, 1:]).sum(axis=1).astype(np.int64)
+    err_me = np.abs(lattice[pair_sums + n - 1] - entries).mean(axis=0)
 
     codes = paths[:, :-1] * k + paths[:, 1:]
     offsets = (np.arange(replicates) * k * k)[:, None]
@@ -275,10 +279,9 @@ def _empirical_weighted_gain(
 
 def _three_state_batch(args) -> tuple[np.ndarray, np.ndarray]:
     """Worker task: empirical critical sizes for a batch of random matrices."""
-    seeds, scan, replicates, resolution = args
+    seeds, scan, replicates, lattices = args
     states = StateSpace.ternary()
     x = states.as_array()
-    table = _cached_table(states, resolution)
     ncs = np.empty(len(seeds))
     rates = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
@@ -288,24 +291,14 @@ def _three_state_batch(args) -> tuple[np.ndarray, np.ndarray]:
         p = stationary_distribution(matrix)
         rates[i] = entropy_rate(p, matrix)
         best = 0.0
-        for n in scan:
+        for n, lattice in zip(scan, lattices):
             gain = _empirical_weighted_gain(
-                matrix.entries, p.mass, x, int(n), replicates, rng, table
+                matrix.entries, p.mass, x, int(n), replicates, rng, lattice
             )
             if gain >= 0:
                 best = float(n)
         ncs[i] = best
     return ncs, rates
-
-
-_TABLES: dict[tuple[tuple[float, ...], int], MaxEntTable] = {}
-
-
-def _cached_table(states: StateSpace, resolution: int = 4001) -> MaxEntTable:
-    key = (states.values, resolution)
-    if key not in _TABLES:
-        _TABLES[key] = maxent_table(states, resolution)
-    return _TABLES[key]
 
 
 def mu_curve(
@@ -351,10 +344,15 @@ def mu_curve(
     if sizes.min() < 2:
         raise ValueError("the Monte-Carlo sweep needs sample sizes >= 2")
 
+    # sample autocorrelations of length-n paths are S / (n - 1) for the
+    # integer pair-sums S in [-(n - 1), n - 1]: one exact solve per lattice point
+    lattices = [
+        maxent_entries(StateSpace.ternary(), np.arange(-(n - 1), n), n - 1) for n in sizes
+    ]
     child_seeds = np.random.SeedSequence(seed).spawn(samples)
     batch_size = 64
     batches = [
-        (child_seeds[i : i + batch_size], sizes, replicates, 4001)
+        (child_seeds[i : i + batch_size], sizes, replicates, lattices)
         for i in range(0, samples, batch_size)
     ]
     if workers > 1:

@@ -100,6 +100,31 @@ def maxent_estimate(series: StateSequence, states: StateSpace) -> MaxEntSolution
     return maxent_nstate(states, target)
 
 
+def maxent_entries(states: StateSpace, pair_sums, n_pairs) -> np.ndarray:
+    """Maximum-entropy matrices for a batch of windows, shape (len(pair_sums), K, K).
+
+    Window ``i`` has sample autocorrelation ``pair_sums[i] / n_pairs`` (a
+    scalar, or one pair count per window), clamped like ``maxent_estimate``.
+    Each distinct target is solved once and its entries are shared by every
+    window that has it; on integer state values the targets lie on a
+    lattice, so a long series needs few solves.  Entries equal those of
+    per-window ``maxent_estimate`` bit for bit.
+    """
+    bounds = feasible_range(states)
+    targets = np.clip(
+        np.asarray(pair_sums, dtype=float) / n_pairs,
+        bounds.lower + CLAMP_MARGIN,
+        bounds.upper - CLAMP_MARGIN,
+    )
+    distinct, inverse = np.unique(targets, return_inverse=True)
+    if states.values == (-1.0, 1.0):
+        stay = (1.0 + distinct) / 2.0
+        solved = np.stack([stay, 1.0 - stay, 1.0 - stay, stay], axis=-1)
+    else:
+        solved = [maxent_nstate(states, float(a)).matrix.entries for a in distinct]
+    return np.asarray(solved, dtype=float).reshape(-1, states.size, states.size)[inverse]
+
+
 def _naive_entries(k: int) -> np.ndarray:
     return np.full((k, k), 1.0 / k)
 
@@ -156,19 +181,5 @@ def sliding_window(
         return WindowEstimate(times, entries, method, states)
 
     # maxent
-    x = series.values(states)
-    targets = _window_pair_sums(x, window) / (window - 1)
-    bounds = feasible_range(states)
-    targets = np.clip(targets, bounds.lower + CLAMP_MARGIN, bounds.upper - CLAMP_MARGIN)
-    if states.values == (-1.0, 1.0):
-        stay = (1.0 + targets) / 2.0
-        entries = np.empty((times.size, 2, 2))
-        entries[:, 0, 0] = stay
-        entries[:, 0, 1] = 1.0 - stay
-        entries[:, 1, 0] = 1.0 - stay
-        entries[:, 1, 1] = stay
-    else:
-        entries = np.empty((times.size, k, k))
-        for i, a in enumerate(targets):
-            entries[i] = maxent_nstate(states, float(a)).matrix.entries
-    return WindowEstimate(times, entries, method, states)
+    pair_sums = _window_pair_sums(series.values(states), window)
+    return WindowEstimate(times, maxent_entries(states, pair_sums, window - 1), method, states)

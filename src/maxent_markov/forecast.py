@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .chains import StateSequence, StateSpace, StochasticMatrix
-from .estimators import frequency_estimate, maxent_estimate
+from .estimators import frequency_estimate, maxent_entries
 
 N_TAIL_BINS = 10
 BACKTEST_METHODS = ("maxent", "sampling", "naive")
@@ -252,8 +252,6 @@ def tail_error(predicted: TailCentiles, realized: TailCentiles) -> float:
 def _estimate_entries(
     window: StateSequence, states: StateSpace, method: str
 ) -> np.ndarray:
-    if method == "maxent":
-        return maxent_estimate(window, states).matrix.entries
     if method == "sampling":
         return frequency_estimate(window).entries
     if method == "naive":
@@ -275,7 +273,8 @@ def backtest(
     from the trailing ``n`` observations at each origin, the tail
     centiles of its ``horizon``-step sum forecast are predicted, and the
     realized sums are pooled into the predicted bins before the tail
-    error is taken.
+    error is taken.  The maxent matrices of all window sizes and origins
+    come from one ``maxent_entries`` batch.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -292,19 +291,28 @@ def backtest(
         raise ValueError("series too short for the largest window plus horizon")
 
     x = np.rint(series.values(states)).astype(np.int64)
+    origins = [np.arange(n - 1, len(series) - horizon, stride) for n in sizes]
+    if "maxent" in methods:
+        cz = np.concatenate([[0], np.cumsum(x[:-1] * x[1:])])
+        pair_sums = np.concatenate([cz[o] - cz[o - n + 1] for n, o in zip(sizes, origins)])
+        per_size = [o.size for o in origins]
+        flat = maxent_entries(states, pair_sums, np.repeat(sizes - 1, per_size))
+        maxent = np.split(flat, np.cumsum(per_size)[:-1])
     delta = {m: np.empty(sizes.size) for m in methods}
     counts = np.empty(sizes.size, dtype=int)
     for si, n in enumerate(sizes):
-        origins = range(int(n) - 1, len(series) - horizon, stride)
         pred_acc = {m: np.zeros(N_TAIL_BINS) for m in methods}
         real_acc = {m: np.zeros(N_TAIL_BINS) for m in methods}
         used = 0
-        for t in origins:
+        for oi, t in enumerate(origins[si].tolist()):
             window = series.slice(t - int(n) + 1, t + 1)
             realized = int(x[t + 1 : t + horizon + 1].sum())
             origin_state = int(series.indices[t])
             for m in methods:
-                entries = _estimate_entries(window, states, m)
+                if m == "maxent":
+                    entries = maxent[si][oi]
+                else:
+                    entries = _estimate_entries(window, states, m)
                 q = step_distribution(
                     StochasticMatrix(entries, states), origin_state, horizon
                 )

@@ -11,6 +11,7 @@ exactly at the threshold count as flat).
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -195,23 +196,30 @@ def _format_state(v: float) -> str:
 def load_states(path: str | Path, n_states: int | None = None) -> tuple[StateSequence, StateSpace]:
     """Read a state-value CSV back into a sequence plus its state space.
 
-    Accepts a single ``state`` column or ``timestamp,state``.  The state
-    space defaults to the symmetric codes implied by the values (any zero
-    present means three states); pass ``n_states`` to force it.
+    Accepts a single ``state`` column or ``timestamp,state``, after any
+    leading ``#`` lines (such as the CLI's metadata line, so ``discretize``
+    artifacts load as written).  The state space defaults to the symmetric
+    codes implied by the values (any zero present means three states);
+    pass ``n_states`` to force it.
     """
     path = Path(path)
     values: list[float] = []
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        comments = 0
+        line = fh.readline()
+        while line.startswith("#"):
+            comments += 1
+            line = fh.readline()
+        if not line:
             raise PriceDataError(f"{path}: empty file")
+        reader = csv.reader(itertools.chain([line], fh))
+        header = next(reader)
         names = [c.strip().lower() for c in header]
         try:
             col = names.index("state")
         except ValueError:
             raise PriceDataError(f"{path}: no 'state' column in header {header}") from None
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(reader, start=comments + 2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:

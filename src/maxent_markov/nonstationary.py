@@ -83,18 +83,26 @@ def autocorrelation_cycle(
     At every time the matrix is the maximum-entropy chain with
     autocorrelation ``center + amplitude * sin(2 pi t / period)``; the
     swing must stay strictly inside the feasible range.  Used to build
-    synthetic slowly-varying corpora for backtests.
+    synthetic slowly-varying corpora for backtests.  With an integer
+    period the matrices of one cycle are cached; otherwise the phase never
+    repeats and every call solves afresh.
     """
     bounds = feasible_range(states)
     if not (bounds.contains(center - abs(amplitude)) and bounds.contains(center + abs(amplitude))):
         raise ValueError("autocorrelation swing leaves the feasible range")
+
+    def solve(t: int) -> StochasticMatrix:
+        target = center + amplitude * math.sin(2.0 * math.pi * t / period)
+        return maxent_nstate(states, target).matrix
+
+    if not float(period).is_integer():
+        return TimeVaryingMatrix(solve, period, states)
     cache: dict[float, StochasticMatrix] = {}
 
     def generator(t: int) -> StochasticMatrix:
-        phase = t % period if float(period).is_integer() else t
+        phase = t % period
         if phase not in cache:
-            target = center + amplitude * math.sin(2.0 * math.pi * t / period)
-            cache[phase] = maxent_nstate(states, target).matrix
+            cache[phase] = solve(t)
         return cache[phase]
 
     return TimeVaryingMatrix(generator, period, states)

@@ -271,41 +271,3 @@ def lagrange_residuals(solution: MaxEntSolution, states: StateSpace) -> Lagrange
             )
         ),
     )
-
-
-@dataclass(frozen=True)
-class MaxEntTable:
-    """Entries of the maximum-entropy family on a fixed autocorrelation grid.
-
-    Linear interpolation between precomputed exact solutions; used by the
-    Monte-Carlo sweeps where millions of estimates are needed and the
-    interpolation error (below 1e-6 per entry for the default resolution)
-    is far under the sampling noise.
-    """
-
-    states: StateSpace
-    grid: np.ndarray
-    entries: np.ndarray  # (len(grid), K, K)
-
-    def entries_at(self, targets: np.ndarray) -> np.ndarray:
-        """Interpolated matrix entries for an array of autocorrelations."""
-        t = np.clip(targets, self.grid[0], self.grid[-1])
-        idx = np.clip(np.searchsorted(self.grid, t) - 1, 0, len(self.grid) - 2)
-        frac = (t - self.grid[idx]) / (self.grid[idx + 1] - self.grid[idx])
-        return (
-            self.entries[idx] * (1.0 - frac)[:, None, None]
-            + self.entries[idx + 1] * frac[:, None, None]
-        )
-
-
-def maxent_table(
-    states: StateSpace, resolution: int = 4001, margin: float = 1e-6
-) -> MaxEntTable:
-    """Tabulate the maximum-entropy family over the feasible range."""
-    bounds = feasible_range(states)
-    grid = np.linspace(bounds.lower + margin, bounds.upper - margin, resolution)
-    k = states.size
-    entries = np.empty((resolution, k, k))
-    for i, a in enumerate(grid):
-        entries[i] = maxent_nstate(states, float(a)).matrix.entries
-    return MaxEntTable(states, grid, entries)

@@ -5,20 +5,29 @@ import pytest
 from scipy.stats import norm
 
 from maxent_markov import (
+    StateSequence,
     StateSpace,
     StochasticMatrix,
+    accuracy,
     accuracy_gain,
     critical_sample_size,
     critical_size_map,
+    feasible_range,
     folded_normal_stats,
+    frequency_estimate,
     matrix_autocorrelation,
+    maxent_entries,
     maxent_error_stats,
+    maxent_estimate,
+    maxent_nstate,
     mu_curve,
     sampling_error_stats,
     stationary_distribution,
 )
+from maxent_markov.chains import simulate_batch
 
 BINARY = StateSpace.binary()
+TERNARY = StateSpace.ternary()
 
 
 def mat2(a, d):
@@ -245,3 +254,37 @@ class TestMuCurve:
         full = curves[-1]
         (unstratified,) = mu_curve(3, [5, 10], samples=60, replicates=30, seed=5)
         np.testing.assert_array_equal(full.fractions, unstratified.fractions)
+
+    def test_lattice_entries_are_exact_solves_at_every_pair_sum(self, monkeypatch):
+        lattices = []
+        batch = accuracy._three_state_batch
+
+        def spy(args):
+            lattices.append(args[3])
+            return batch(args)
+
+        monkeypatch.setattr(accuracy, "_three_state_batch", spy)
+        sizes = [5, 12]
+        mu_curve(3, sizes, samples=4, replicates=5, seed=1)
+        assert len(lattices) == 1
+        bounds = feasible_range(TERNARY)
+        for n, lattice in zip(sizes, lattices[0]):
+            assert lattice.shape == (2 * n - 1, 3, 3)
+            for s in range(-(n - 1), n):
+                exact = maxent_nstate(TERNARY, bounds.clamp(s / (n - 1), 1e-6)).matrix.entries
+                assert np.array_equal(lattice[s + n - 1], exact)
+
+    def test_empirical_gain_scores_each_replicate_by_its_own_estimates(self):
+        n, replicates = 8, 25
+        entries = np.random.default_rng(4).dirichlet(np.ones(3), size=3)
+        p = stationary_distribution(StochasticMatrix(entries, TERNARY)).mass
+        lattice = maxent_entries(TERNARY, np.arange(-(n - 1), n), n - 1)
+        gain = accuracy._empirical_weighted_gain(
+            entries, p, TERNARY.as_array(), n, replicates, np.random.default_rng(9), lattice
+        )
+        paths = simulate_batch(entries, p, n, replicates, np.random.default_rng(9))
+        windows = [StateSequence(path, 3) for path in paths]
+        me = np.stack([maxent_estimate(w, TERNARY).matrix.entries for w in windows])
+        samp = np.stack([frequency_estimate(w).entries for w in windows])
+        err = np.abs(samp - entries).mean(axis=0) - np.abs(me - entries).mean(axis=0)
+        assert gain == pytest.approx(float((p[:, None] * err).sum() / 3), abs=1e-12)

@@ -90,6 +90,31 @@ class TestDiscretize:
         assert main(["discretize", "--input", str(inp), "--output", str(out)]) == EXIT_DATA
         assert not out.exists()
 
+    def test_artifact_feeds_estimate_and_backtest(self, tmp_path, rng):
+        moves = rng.choice([-1, 0, 1], size=80)
+        prices = 100.0 * np.cumprod(1.0 + 0.01 * moves)
+        inp = tmp_path / "prices.csv"
+        inp.write_text(
+            "timestamp,price\n0,100.0\n"
+            + "".join(f"{60 * (t + 1)},{p!r}\n" for t, p in enumerate(prices.tolist()))
+        )
+        states = tmp_path / "states.csv"
+        assert main(["discretize", "--input", str(inp), "--output", str(states)]) == EXIT_OK
+        assert states.read_text().startswith("# ")
+
+        matrix = tmp_path / "matrix.csv"
+        assert main(["estimate", "--input", str(states), "--output", str(matrix)]) == EXIT_OK
+        meta, _, rows = read_artifact(matrix)
+        assert meta["k"] == 3 and len(rows) == 9
+        pairs = moves[:-1] * moves[1:]
+        assert meta["sample_autocorrelation"] == pytest.approx(pairs.mean(), abs=1e-15)
+
+        report = tmp_path / "backtest.csv"
+        assert main(["backtest", "--input", str(states), "--n", "10", "--horizon", "4",
+                     "--output", str(report)]) == EXIT_OK
+        _, _, rows = read_artifact(report)
+        assert {r[1] for r in rows} == {"maxent", "sampling", "naive"}
+
 
 class TestSweeps:
     def test_ncmap_small_grid(self, tmp_path):

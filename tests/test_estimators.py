@@ -1,24 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxent_markov import (
     Distribution,
     StateSequence,
     StateSpace,
+    feasible_range,
     frequency_estimate,
     matrix_autocorrelation,
     maxent_2state,
+    maxent_entries,
     maxent_estimate,
+    maxent_nstate,
     sample_autocorrelation,
     simulate,
     sliding_window,
     stationary_distribution,
 )
+from maxent_markov import estimators
+from maxent_markov.estimators import CLAMP_MARGIN
 
 from conftest import random_irreducible
 
 BINARY = StateSpace.binary()
 TERNARY = StateSpace.ternary()
+SKEWED = StateSpace((0.0, 1.0, 3.0))
 
 
 def seq(values, states=BINARY):
@@ -186,3 +194,63 @@ class TestSlidingWindow:
         assert len(mats) == len(est.times)
         for m in mats:
             assert np.abs(m.entries.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def exact_entries(states, target):
+    if states.values == (-1.0, 1.0):
+        return maxent_2state(target).matrix.entries
+    return maxent_nstate(states, target).matrix.entries
+
+
+@st.composite
+def lattice_batches(draw):
+    """Integer pair-sums with a shared pair count or one count per window.
+
+    Every batch also holds the two extreme pair-sums, whose targets sit on
+    the boundary of the feasible range and are clamped.
+    """
+    states = draw(st.sampled_from([BINARY, TERNARY, SKEWED]))
+    bounds = feasible_range(states)
+    lower, upper = int(bounds.lower), int(bounds.upper)
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    shared = draw(st.booleans())
+    if shared:
+        counts = [counts[0]] * len(counts)
+    sums = [draw(st.integers(lower * m, upper * m)) for m in counts]
+    sums += [lower * counts[0], upper * counts[0]]
+    counts += [counts[0]] * 2
+    return states, np.array(sums), counts[0] if shared else np.array(counts)
+
+
+class TestMaxEntEntries:
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_batches())
+    def test_equals_per_target_solves(self, batch):
+        states, sums, n_pairs = batch
+        counts = np.broadcast_to(n_pairs, sums.shape)
+        clamp = feasible_range(states).clamp
+        expected = np.stack(
+            [
+                exact_entries(states, clamp(s / m, CLAMP_MARGIN))
+                for s, m in zip(sums.tolist(), counts.tolist())
+            ]
+        )
+        assert np.array_equal(maxent_entries(states, sums, n_pairs), expected)
+
+    def test_one_solve_per_distinct_target(self, monkeypatch):
+        calls = []
+
+        def counting(states, target):
+            calls.append(target)
+            return maxent_nstate(states, target)
+
+        monkeypatch.setattr(estimators, "maxent_nstate", counting)
+        # 2/9 appears three times; 9/9 and 10/9 clamp to the same target
+        entries = maxent_entries(TERNARY, np.array([2, 2, -1, 9, 2, 10]), 9)
+        assert entries.shape == (6, 3, 3)
+        assert len(calls) == len(set(calls)) == 3
+        assert np.array_equal(entries[0], entries[4])
+        assert np.array_equal(entries[3], entries[5])
+
+    def test_empty_batch(self):
+        assert maxent_entries(TERNARY, np.array([], dtype=int), 9).shape == (0, 3, 3)

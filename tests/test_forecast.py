@@ -10,6 +10,7 @@ from maxent_markov import (
     StateSpace,
     StochasticMatrix,
     backtest,
+    maxent_estimate,
     realized_centile_fractions,
     simulate,
     step_distribution,
@@ -269,6 +270,26 @@ class TestBacktest:
             np.testing.assert_array_equal(report.delta[m], again.delta[m])
             assert report.delta[m].shape == (2,)
             assert np.all(report.delta[m] >= 0)
+
+    def test_maxent_deltas_match_per_origin_estimates(self, rng):
+        w = random_irreducible(rng, 3)
+        series = simulate(w, Distribution.uniform(3), 400, seed=12)
+        sizes, horizon, stride = [3, 10, 20], 4, 3
+        report = backtest(series, TERNARY, sizes, horizon=horizon, methods=("maxent",), stride=stride)
+        x = np.rint(series.values(TERNARY)).astype(int)
+        for si, n in enumerate(sizes):
+            pred = np.zeros(10)
+            real = np.zeros(10)
+            origins = range(n - 1, len(series) - horizon, stride)
+            for t in origins:
+                fitted = maxent_estimate(series.slice(t - n + 1, t + 1), TERNARY).matrix
+                bins = tail_bins(step_distribution(fitted, int(series.indices[t]), horizon))
+                pred += bins.lower.sum(axis=0) + bins.upper.sum(axis=0)
+                real += _assign(int(x[t + 1 : t + horizon + 1].sum()), bins)
+            used = len(origins)
+            expected = tail_error(TailCentiles(pred / used), TailCentiles(real / used))
+            assert report.delta["maxent"][si] == expected
+            assert report.origin_counts[si] == used
 
     def test_stride_reduces_origins(self, rng):
         w = random_irreducible(rng, 3)

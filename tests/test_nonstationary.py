@@ -109,6 +109,20 @@ class TestAutocorrelationCycle:
             process.at(13).entries, process.at(113).entries, atol=1e-15
         )
 
+    def test_non_integer_period_keeps_no_per_step_cache(self):
+        # t % period never repeats for a fractional period, so a cache keyed
+        # by phase would hold one matrix per step of the series
+        process = autocorrelation_cycle(StateSpace.ternary(), period=500.5, amplitude=0.3)
+        for t in range(1200):
+            w = process.at(t)
+        target = 0.3 * math.sin(2 * math.pi * 1199 / 500.5)
+        assert matrix_autocorrelation(stationary_distribution(w), w) == pytest.approx(
+            target, abs=1e-8
+        )
+        cells = process.generator.__closure__ or ()
+        cached = sum(len(c.cell_contents) for c in cells if isinstance(c.cell_contents, dict))
+        assert cached <= 501
+
     def test_rejects_infeasible_swing(self):
         with pytest.raises(ValueError):
             autocorrelation_cycle(StateSpace.binary(), period=100, amplitude=1.2)

@@ -14,7 +14,6 @@ from maxent_markov import (
     matrix_autocorrelation,
     maxent_2state,
     maxent_nstate,
-    maxent_table,
     stationary_distribution,
 )
 from maxent_markov.solver import MaxEntSolution
@@ -288,24 +287,3 @@ class TestLagrangeResiduals:
         res = lagrange_residuals(sol, StateSpace.binary())
         assert math.isinf(res.cross)
 
-
-class TestTable:
-    def test_interpolation_error_is_negligible(self, rng):
-        table = maxent_table(TERNARY, resolution=801)
-        targets = rng.uniform(-0.95, 0.95, size=40)
-        approx = table.entries_at(targets)
-        for t, a in zip(targets, approx):
-            exact = maxent_nstate(TERNARY, float(t)).matrix.entries
-            assert np.abs(a - exact).max() < 2e-5
-
-    def test_finer_table_is_tighter(self):
-        coarse = maxent_table(TERNARY, resolution=801)
-        fine = maxent_table(TERNARY, resolution=4001)
-        targets = np.linspace(-0.9, 0.9, 50)
-        exact = np.stack(
-            [maxent_nstate(TERNARY, float(t)).matrix.entries for t in targets]
-        )
-        err_coarse = np.abs(coarse.entries_at(targets) - exact).max()
-        err_fine = np.abs(fine.entries_at(targets) - exact).max()
-        assert err_fine < err_coarse
-        assert err_fine < 1e-6
