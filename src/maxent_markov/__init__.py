@@ -8,11 +8,6 @@ forecasts of discretized return series.
 """
 
 from .accuracy import (
-    CriticalSampleSize,
-    CriticalSizeMap,
-    ErrorStats,
-    FoldedNormalStats,
-    MuCurve,
     accuracy_gain,
     critical_sample_size,
     critical_size_map,
@@ -35,8 +30,6 @@ from .chains import (
     stationary_distribution,
 )
 from .estimators import (
-    SampleAutocorrelation,
-    WindowEstimate,
     frequency_estimate,
     maxent_entries,
     maxent_estimate,
@@ -44,9 +37,7 @@ from .estimators import (
     sliding_window,
 )
 from .forecast import (
-    BacktestReport,
     StepDistribution,
-    TailBins,
     TailCentiles,
     backtest,
     realized_centile_fractions,
@@ -68,7 +59,6 @@ from .ingest import (
 )
 from .nonstationary import (
     TimeVaryingMatrix,
-    TrackingReport,
     autocorrelation_cycle,
     generate_nonstationary,
     generate_time_varying,
@@ -78,9 +68,7 @@ from .nonstationary import (
 )
 from .solver import (
     ConvergenceError,
-    FeasibleRange,
     InfeasibleTargetError,
-    LagrangeResiduals,
     MaxEntSolution,
     feasible_range,
     lagrange_residuals,
@@ -91,32 +79,20 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BacktestReport",
     "ConvergenceError",
-    "CriticalSampleSize",
-    "CriticalSizeMap",
     "Distribution",
-    "ErrorStats",
-    "FeasibleRange",
-    "FoldedNormalStats",
     "InfeasibleTargetError",
-    "LagrangeResiduals",
     "MaxEntSolution",
-    "MuCurve",
     "PriceDataError",
     "PriceSeries",
     "ReducibleChainError",
     "ReturnSeries",
-    "SampleAutocorrelation",
     "StateSequence",
     "StateSpace",
     "StepDistribution",
     "StochasticMatrix",
-    "TailBins",
     "TailCentiles",
     "TimeVaryingMatrix",
-    "TrackingReport",
-    "WindowEstimate",
     "accuracy_gain",
     "autocorrelation_cycle",
     "backtest",

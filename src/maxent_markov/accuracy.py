@@ -29,7 +29,7 @@ from .chains import (
     simulate_batch,
     stationary_distribution,
 )
-from .estimators import maxent_entries
+from .estimators import maxent_entries, transition_frequencies
 from .solver import maxent_2state
 
 DEFAULT_CAP = 500
@@ -270,9 +270,7 @@ def _empirical_weighted_gain(
     codes = paths[:, :-1] * k + paths[:, 1:]
     offsets = (np.arange(replicates) * k * k)[:, None]
     counts = np.bincount((codes + offsets).ravel(), minlength=replicates * k * k)
-    counts = counts.reshape(replicates, k, k).astype(float)
-    departures = counts.sum(axis=2, keepdims=True)
-    freq = np.where(departures > 0, counts / np.maximum(departures, 1.0), 1.0 / k)
+    freq = transition_frequencies(counts.reshape(replicates, k, k).astype(float))
     err_samp = np.abs(freq - entries).mean(axis=0)
     return float((p[:, None] * (err_samp - err_me)).sum() / k)
 
@@ -345,10 +343,12 @@ def mu_curve(
         raise ValueError("the Monte-Carlo sweep needs sample sizes >= 2")
 
     # sample autocorrelations of length-n paths are S / (n - 1) for the
-    # integer pair-sums S in [-(n - 1), n - 1]: one exact solve per lattice point
-    lattices = [
-        maxent_entries(StateSpace.ternary(), np.arange(-(n - 1), n), n - 1) for n in sizes
-    ]
+    # integer pair-sums S in [-(n - 1), n - 1]: one exact solve per distinct
+    # lattice point, shared by every size whose lattice holds it
+    points = 2 * sizes - 1
+    pair_sums = np.concatenate([np.arange(-(n - 1), n) for n in sizes])
+    flat = maxent_entries(StateSpace.ternary(), pair_sums, np.repeat(sizes - 1, points))
+    lattices = np.split(flat, np.cumsum(points)[:-1])
     child_seeds = np.random.SeedSequence(seed).spawn(samples)
     batch_size = 64
     batches = [

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
-MASS_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 _POWER_ITER_TOL = 1e-12
 _POWER_ITER_MAX = 1_000_000
@@ -26,8 +25,20 @@ class ReducibleChainError(ValueError):
     """The chain has no unique stationary distribution (not irreducible)."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _stochastic_rows(entries, shape: tuple[int, ...]) -> np.ndarray:
+    """Probabilities checked in [0, 1] with unit sums along the last axis, then clipped.
+
+    Serves distributions ``(K,)``, matrices ``(K, K)`` and stacks ``(T, K, K)``.
+    """
+    entries = np.asarray(entries, dtype=float)
+    if entries.shape != shape:
+        raise ValueError(f"expected shape {shape} to match the state space, got {entries.shape}")
+    if np.any(entries < -ROW_SUM_TOL) or np.any(entries > 1 + ROW_SUM_TOL):
+        raise ValueError("probabilities must lie in [0, 1]")
+    row_sums = entries.sum(axis=-1)
+    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+        raise ValueError(f"rows must sum to 1, got {row_sums}")
+    out = np.clip(entries, 0.0, 1.0)
     out.flags.writeable = False
     return out
 
@@ -93,11 +104,7 @@ class Distribution:
         mass = np.asarray(self.mass, dtype=float)
         if mass.ndim != 1 or mass.size < 1:
             raise ValueError("mass must be a 1-D vector")
-        if np.any(mass < -MASS_TOL) or np.any(mass > 1 + MASS_TOL):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(mass.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"mass sums to {mass.sum()!r}, expected 1")
-        object.__setattr__(self, "mass", _readonly(np.clip(mass, 0.0, 1.0)))
+        object.__setattr__(self, "mass", _stochastic_rows(mass, mass.shape))
 
     @property
     def size(self) -> int:
@@ -127,18 +134,8 @@ class StochasticMatrix:
     filled_rows: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
         k = self.states.size
-        if entries.shape != (k, k):
-            raise ValueError(
-                f"entries must be {k}x{k} to match the state space, got {entries.shape}"
-            )
-        if np.any(entries < -ROW_SUM_TOL) or np.any(entries > 1 + ROW_SUM_TOL):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        row_sums = entries.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-            raise ValueError(f"rows must sum to 1, got {row_sums}")
-        object.__setattr__(self, "entries", _readonly(np.clip(entries, 0.0, 1.0)))
+        object.__setattr__(self, "entries", _stochastic_rows(self.entries, (k, k)))
         object.__setattr__(self, "filled_rows", tuple(self.filled_rows))
 
     @property
@@ -278,6 +275,38 @@ def detailed_balance_residual(p: Distribution, w: StochasticMatrix) -> float:
     return float(np.abs(flux - flux.T).max())
 
 
+def _cdf(mass: np.ndarray) -> np.ndarray:
+    """Cumulative sums, set to 1 where they reach their total: no ``u < 1`` draws past the mass."""
+    cum = np.cumsum(mass, axis=-1)
+    cum[cum >= cum[..., -1:]] = 1.0
+    return cum
+
+
+def _walk(rows: np.ndarray, start: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF paths, one per row of the uniforms ``u``, shape ``u.shape``.
+
+    ``rows`` is one ``(K, K)`` matrix for every step or one per step,
+    ``(n - 1, K, K)``.  A uniform draws the number of cumulative entries
+    ``<= u``, capped at ``K - 1`` by counting only the first ``K - 1``.
+    Vectorized comparisons build every step's next-state table; the loop
+    over time is one gather per step.
+    """
+    r, n = u.shape
+    k = start.size
+    offsets = np.arange(r) * k  # states as flat indices replicate * K + state
+    cum = _cdf(rows).reshape(-1, k, k).transpose(1, 2, 0)[:, :, None]  # (from, to, 1, step)
+    counts = np.zeros((k, r, n - 1), dtype=np.int64)
+    for j in range(k - 1):
+        counts += cum[:, j] <= u[:, 1:]
+    table = np.add(counts.transpose(2, 1, 0), offsets[:, None], order="C")
+    flat = np.empty((n, r), dtype=np.int64)
+    flat[0] = cur = offsets + (_cdf(start)[:-1] <= u[:, :1]).sum(axis=1)
+    for t, step in enumerate(table.reshape(n - 1, r * k), 1):
+        flat[t] = cur = step[cur]
+    flat -= offsets
+    return np.ascontiguousarray(flat.T)
+
+
 def simulate(
     w: StochasticMatrix, start: Distribution, n: int, seed: int
 ) -> StateSequence:
@@ -285,20 +314,8 @@ def simulate(
     _require_consistent(start, w)
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    start_cum = np.cumsum(start.mass)
-    row_cum = np.cumsum(w.entries, axis=1)
-    u = rng.random(n)
-    path = np.empty(n, dtype=np.int64)
-    state = int(np.searchsorted(start_cum, u[0], side="right"))
-    state = min(state, w.size - 1)
-    path[0] = state
-    for t in range(1, n):
-        state = int(np.searchsorted(row_cum[state], u[t], side="right"))
-        if state >= w.size:  # guards u == 1.0 edge against cumulative round-off
-            state = w.size - 1
-        path[t] = state
-    return StateSequence(path, w.size)
+    u = np.random.default_rng(seed).random(n)
+    return StateSequence(_walk(w.entries, start.mass, u[None])[0], w.size)
 
 
 def simulate_batch(
@@ -307,17 +324,9 @@ def simulate_batch(
     """Vectorized sampler: ``replicates`` independent paths of length ``n``.
 
     Internal workhorse for Monte-Carlo sweeps; returns an int array of
-    shape ``(replicates, n)``.
+    shape ``(replicates, n)``.  Draws the start uniforms, then the steps.
     """
-    k = entries.shape[0]
-    row_cum = np.cumsum(entries, axis=1)
-    start_cum = np.cumsum(start)
-    paths = np.empty((replicates, n), dtype=np.int64)
-    paths[:, 0] = np.minimum(
-        (rng.random(replicates)[:, None] > start_cum[None, :]).sum(axis=1), k - 1
-    )
-    u = rng.random((replicates, n - 1)) if n > 1 else None
-    for t in range(n - 1):
-        cum = row_cum[paths[:, t]]
-        paths[:, t + 1] = np.minimum((u[:, t, None] > cum).sum(axis=1), k - 1)
-    return paths
+    u = rng.random(replicates)[:, None]
+    if n > 1:
+        u = np.concatenate([u, rng.random((replicates, n - 1))], axis=1)
+    return _walk(entries, start, u)

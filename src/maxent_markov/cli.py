@@ -35,7 +35,7 @@ from .ingest import (
     resample,
     to_returns,
 )
-from .nonstationary import generate_nonstationary, toy_matrix, tracking_experiment
+from .nonstationary import generate_nonstationary, tracking_experiment
 from .solver import ConvergenceError, InfeasibleTargetError
 
 EXIT_OK = 0
@@ -67,10 +67,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, output: bool = True) -> None:
-        if output:
-            p.add_argument("--output", help="output file (default: stdout)")
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def common(p: _Parser) -> None:
+        p.add_argument("--output", help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser(
         "estimate",
@@ -219,7 +218,7 @@ def _cmd_estimate(args) -> None:
             sample_autocorrelation=sample_autocorrelation(series, states).value,
         )
     elif args.method == "sampling":
-        matrix = frequency_estimate(series)
+        matrix = frequency_estimate(series, states)
         entries = matrix.entries
         meta.update(filled_rows=list(matrix.filled_rows))
     else:
@@ -314,7 +313,7 @@ def _cmd_forecast(args) -> None:
     if args.method == "maxent":
         entries = maxent_estimate(window, states).matrix.entries
     elif args.method == "sampling":
-        entries = frequency_estimate(window).entries
+        entries = frequency_estimate(window, states).entries
     else:
         entries = np.full((states.size, states.size), 1.0 / states.size)
     matrix = StochasticMatrix(entries, states)

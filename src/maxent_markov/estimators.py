@@ -41,10 +41,6 @@ class WindowEstimate:
     method: str
     states: StateSpace
 
-    @property
-    def matrices(self) -> list[StochasticMatrix]:
-        return [StochasticMatrix(e, self.states) for e in self.entries]
-
 
 def sample_autocorrelation(
     series: StateSequence, states: StateSpace
@@ -68,22 +64,30 @@ def transition_counts(series: StateSequence) -> np.ndarray:
     return np.bincount(codes, minlength=k * k).reshape(k, k).astype(float)
 
 
-def frequency_estimate(series: StateSequence, n_states: int | None = None) -> StochasticMatrix:
-    """Transition frequencies: counts of i -> j over departures from i.
+def transition_frequencies(counts: np.ndarray) -> np.ndarray:
+    """Counts of i -> j over departures from i, for any stack ``(..., K, K)``.
+
+    Rows with no departures carry no evidence and are filled with ``1/K``.
+    """
+    departures = counts.sum(axis=-1, keepdims=True)
+    return np.where(departures > 0, counts / np.maximum(departures, 1.0), 1.0 / counts.shape[-1])
+
+
+def frequency_estimate(series: StateSequence, states: StateSpace | None = None) -> StochasticMatrix:
+    """Transition frequencies, labelled ``states`` (default ``StateSpace.default``).
 
     Rows for states never departed from carry no evidence; they are
     filled uniformly and reported in ``filled_rows``.
     """
     if len(series) < 2:
         raise ValueError("need at least two observations")
-    k = n_states if n_states is not None else series.n_states
-    if k != series.n_states:
-        raise ValueError("n_states does not match the sequence")
+    if states is None:
+        states = StateSpace.default(series.n_states)
+    if states.size != series.n_states:
+        raise ValueError("state space size does not match the sequence")
     counts = transition_counts(series)
-    departures = counts.sum(axis=1, keepdims=True)
-    entries = np.where(departures > 0, counts / np.maximum(departures, 1.0), 1.0 / k)
-    filled = tuple(int(i) for i in np.flatnonzero(departures.ravel() == 0))
-    return StochasticMatrix(entries, StateSpace.default(k), filled_rows=filled)
+    filled = tuple(int(i) for i in np.flatnonzero(counts.sum(axis=1) == 0))
+    return StochasticMatrix(transition_frequencies(counts), states, filled_rows=filled)
 
 
 def maxent_estimate(series: StateSequence, states: StateSpace) -> MaxEntSolution:
@@ -123,10 +127,6 @@ def maxent_entries(states: StateSpace, pair_sums, n_pairs) -> np.ndarray:
     else:
         solved = [maxent_nstate(states, float(a)).matrix.entries for a in distinct]
     return np.asarray(solved, dtype=float).reshape(-1, states.size, states.size)[inverse]
-
-
-def _naive_entries(k: int) -> np.ndarray:
-    return np.full((k, k), 1.0 / k)
 
 
 def _window_pair_sums(values: np.ndarray, window: int) -> np.ndarray:
@@ -171,13 +171,11 @@ def sliding_window(
     times = np.arange(window - 1, len(series))
 
     if method == "naive":
-        entries = np.broadcast_to(_naive_entries(k), (times.size, k, k)).copy()
+        entries = np.full((times.size, k, k), 1.0 / k)
         return WindowEstimate(times, entries, method, states)
 
     if method == "sampling":
-        counts = _window_counts(series, window)
-        departures = counts.sum(axis=2, keepdims=True)
-        entries = np.where(departures > 0, counts / np.maximum(departures, 1.0), 1.0 / k)
+        entries = transition_frequencies(_window_counts(series, window))
         return WindowEstimate(times, entries, method, states)
 
     # maxent

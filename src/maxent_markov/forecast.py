@@ -253,7 +253,7 @@ def _estimate_entries(
     window: StateSequence, states: StateSpace, method: str
 ) -> np.ndarray:
     if method == "sampling":
-        return frequency_estimate(window).entries
+        return frequency_estimate(window, states).entries
     if method == "naive":
         return np.full((states.size, states.size), 1.0 / states.size)
     raise ValueError(f"method must be one of {BACKTEST_METHODS}, got {method!r}")

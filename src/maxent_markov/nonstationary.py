@@ -17,7 +17,15 @@ from typing import Callable
 
 import numpy as np
 
-from .chains import Distribution, StateSequence, StateSpace, StochasticMatrix, stationary_distribution
+from .chains import (
+    Distribution,
+    StateSequence,
+    StateSpace,
+    StochasticMatrix,
+    _stochastic_rows,
+    _walk,
+    stationary_distribution,
+)
 from .estimators import sliding_window
 from .solver import feasible_range, maxent_nstate
 
@@ -26,14 +34,21 @@ TRACKING_METHODS = ("maxent", "sampling")
 
 @dataclass(frozen=True)
 class TimeVaryingMatrix:
-    """A transition matrix indexed by time, with its nominal period."""
+    """A transition matrix indexed by integer time.
 
-    generator: Callable[[int], StochasticMatrix]
-    period: float
+    ``table`` maps an array of ``T`` times to their entries, shape
+    ``(T, K, K)``; ``entries`` checks them as ``StochasticMatrix`` does.
+    """
+
+    table: Callable[[np.ndarray], np.ndarray]
     states: StateSpace
 
+    def entries(self, times) -> np.ndarray:
+        times = np.asarray(times)
+        return _stochastic_rows(self.table(times), (times.size,) + (self.states.size,) * 2)
+
     def at(self, t: int) -> StochasticMatrix:
-        return self.generator(t)
+        return StochasticMatrix(self.entries([t])[0], self.states)
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,15 @@ class TrackingReport:
     per_seed_mae: dict[str, np.ndarray]
 
 
+def _toy_entries(times: np.ndarray, period: float) -> np.ndarray:
+    if period <= 0:
+        raise ValueError("period must be positive")
+    t = np.asarray(times, dtype=float)
+    stay_down = 0.6 + 0.1 * np.sin(2.0 * np.pi * t / period)
+    stay_up = 0.6 + 0.1 * np.sin(2.0 * np.pi * t / (1.2 * period))
+    return np.stack([stay_down, 1.0 - stay_down, 1.0 - stay_up, stay_up], axis=-1).reshape(-1, 2, 2)
+
+
 def toy_matrix(t: float, period: float) -> StochasticMatrix:
     """Two-state matrix whose rows oscillate out of phase.
 
@@ -60,16 +84,11 @@ def toy_matrix(t: float, period: float) -> StochasticMatrix:
     diagonal, so all entries stay inside [0.3, 0.7] and rows sum to one
     exactly.
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
-    stay_down = 0.6 + 0.1 * math.sin(2.0 * math.pi * t / period)
-    stay_up = 0.6 + 0.1 * math.sin(2.0 * math.pi * t / (1.2 * period))
-    entries = np.array([[stay_down, 1.0 - stay_down], [1.0 - stay_up, stay_up]])
-    return StochasticMatrix(entries, StateSpace.binary())
+    return StochasticMatrix(_toy_entries([t], period)[0], StateSpace.binary())
 
 
 def toy_process(period: float) -> TimeVaryingMatrix:
-    return TimeVaryingMatrix(lambda t: toy_matrix(t, period), period, StateSpace.binary())
+    return TimeVaryingMatrix(lambda times: _toy_entries(times, period), StateSpace.binary())
 
 
 def autocorrelation_cycle(
@@ -84,28 +103,30 @@ def autocorrelation_cycle(
     autocorrelation ``center + amplitude * sin(2 pi t / period)``; the
     swing must stay strictly inside the feasible range.  Used to build
     synthetic slowly-varying corpora for backtests.  With an integer
-    period the matrices of one cycle are cached; otherwise the phase never
-    repeats and every call solves afresh.
+    period each phase is solved once, when first requested; otherwise the
+    phase never repeats and every requested time is solved afresh.
     """
     bounds = feasible_range(states)
     if not (bounds.contains(center - abs(amplitude)) and bounds.contains(center + abs(amplitude))):
         raise ValueError("autocorrelation swing leaves the feasible range")
+    k = states.size
 
-    def solve(t: int) -> StochasticMatrix:
-        target = center + amplitude * math.sin(2.0 * math.pi * t / period)
-        return maxent_nstate(states, target).matrix
+    def solve(times) -> np.ndarray:
+        targets = [center + amplitude * math.sin(2.0 * math.pi * t / period) for t in times]
+        solved = [maxent_nstate(states, a).matrix.entries for a in targets]
+        return np.asarray(solved, dtype=float).reshape(-1, k, k)
 
     if not float(period).is_integer():
-        return TimeVaryingMatrix(solve, period, states)
-    cache: dict[float, StochasticMatrix] = {}
+        return TimeVaryingMatrix(lambda times: solve(times.tolist()), states)
+    cycle = np.full((int(period), k, k), np.nan)  # one cycle, solved phase by phase
 
-    def generator(t: int) -> StochasticMatrix:
-        phase = t % period
-        if phase not in cache:
-            cache[phase] = solve(t)
-        return cache[phase]
+    def table(times: np.ndarray) -> np.ndarray:
+        phases = times % int(period)
+        todo = np.unique(phases[np.isnan(cycle[phases, 0, 0])])
+        cycle[todo] = solve(todo.tolist())
+        return cycle[phases]
 
-    return TimeVaryingMatrix(generator, period, states)
+    return TimeVaryingMatrix(table, states)
 
 
 def generate_time_varying(
@@ -121,19 +142,11 @@ def generate_time_varying(
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    k = process.states.size
     if start is None:
         start = stationary_distribution(process.at(0))
-    rng = np.random.default_rng(seed)
-    u = rng.random(length)
-    path = np.empty(length, dtype=np.int64)
-    state = min(int(np.searchsorted(np.cumsum(start.mass), u[0], side="right")), k - 1)
-    path[0] = state
-    for t in range(length - 1):
-        row_cum = np.cumsum(process.at(t).entries[state])
-        state = min(int(np.searchsorted(row_cum, u[t + 1], side="right")), k - 1)
-        path[t + 1] = state
-    return StateSequence(path, k)
+    u = np.random.default_rng(seed).random((1, length))
+    path = _walk(process.entries(np.arange(length - 1)), start.mass, u)[0]
+    return StateSequence(path, process.states.size)
 
 
 def generate_nonstationary(period: float, length: int, seed: int) -> StateSequence:
@@ -158,7 +171,7 @@ def tracking_experiment(
         raise ValueError("length must exceed the window")
     states = StateSpace.binary()
     times = np.arange(window - 1, length)
-    truth = np.array([toy_matrix(int(t), period).entries[0, 0] for t in times])
+    truth = toy_process(period).entries(times)[:, 0, 0]
 
     sums = {m: np.zeros(times.size) for m in TRACKING_METHODS}
     seed_mae = {m: np.empty(len(seeds)) for m in TRACKING_METHODS}

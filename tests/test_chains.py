@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxent_markov import (
     Distribution,
@@ -16,7 +18,8 @@ from maxent_markov import (
     simulate,
     stationary_distribution,
 )
-from maxent_markov.chains import simulate_batch
+from maxent_markov.chains import _walk, simulate_batch
+from maxent_markov.nonstationary import TimeVaryingMatrix, generate_time_varying
 
 from conftest import power_iteration_stationary, random_irreducible
 
@@ -240,3 +243,119 @@ class TestSimulate:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             simulate(mat2(0.5, 0.5, 0.5, 0.5), Distribution.uniform(2), 0, seed=0)
+
+
+def oracle_walk(rows, start, u):
+    """Per-step inverse CDF: ``searchsorted(cumsum(row), u, side="right")``.
+
+    A uniform beyond the accumulated mass (a row summing to just under
+    one) falls to the row's last state with positive probability.
+    """
+    def draw(mass, v):
+        last = int(np.flatnonzero(mass > 0)[-1])
+        return min(int(np.searchsorted(np.cumsum(mass), v, side="right")), last)
+
+    path = [draw(start, u[0])]
+    for t in range(1, len(u)):
+        row = rows[path[-1]] if rows.ndim == 2 else rows[t - 1][path[-1]]
+        path.append(draw(row, u[t]))
+    return np.array(path)
+
+
+@st.composite
+def masses(draw, k, count):
+    """``count`` probability vectors over ``k`` states with exact zeros."""
+    out = []
+    for _ in range(count):
+        weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+        if sum(weights) == 0:
+            weights[draw(st.integers(0, k - 1))] = 1
+        w = np.array(weights, dtype=float)
+        out.append(w / w.sum())
+    return np.array(out)
+
+
+@st.composite
+def walks(draw):
+    """Transition rows (constant or per step), a start mass and uniforms.
+
+    Uniforms include 0, the largest double below 1 and the cumulative
+    entries themselves, where the tie rule decides.
+    """
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 25))
+    r = draw(st.integers(1, 4))
+    per_step = draw(st.booleans())
+    rows = draw(masses(k, k * (n - 1 if per_step else 1))).reshape(-1, k, k)
+    rows = rows if per_step else rows[0]
+    start = draw(masses(k, 1))[0]
+    ties = np.unique(np.concatenate([np.cumsum(rows, axis=-1).ravel(), np.cumsum(start)]))
+    ties = ties[ties < 1.0].tolist() + [0.0, 1.0 - 2.0**-53]
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(ties))
+    u = np.array(draw(st.lists(uniform, min_size=r * n, max_size=r * n))).reshape(r, n)
+    return rows, start, u
+
+
+class TestSamplerCore:
+    @settings(max_examples=150, deadline=None)
+    @given(walks())
+    def test_matches_per_step_searchsorted(self, case):
+        rows, start, u = case
+        paths = _walk(rows, start, u)
+        assert paths.shape == u.shape
+        for path, uniforms in zip(paths, u):
+            np.testing.assert_array_equal(path, oracle_walk(rows, start, uniforms))
+
+    @settings(max_examples=150, deadline=None)
+    @given(walks())
+    def test_never_draws_a_zero_probability_state(self, case):
+        rows, start, u = case
+        paths = _walk(rows, start, u)
+        assert np.all(start[paths[:, 0]] > 0)
+        steps = np.arange(u.shape[1] - 1)
+        per_step = rows if rows.ndim == 3 else np.broadcast_to(rows, (steps.size,) + rows.shape)
+        assert np.all(per_step[steps, paths[:, :-1], paths[:, 1:]] > 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(walks())
+    def test_batch_rows_equal_single_walks(self, case):
+        rows, start, u = case
+        paths = _walk(rows, start, u)
+        for i in range(u.shape[0]):
+            np.testing.assert_array_equal(paths[i], _walk(rows, start, u[i : i + 1])[0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(lambda k: masses(k, k + 1)),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_constant_time_varying_process_equals_simulate(self, mass, n, seed):
+        k = mass.shape[1]
+        states = StateSpace.default(k)
+        w = StochasticMatrix(mass[:k], states)
+        start = Distribution(mass[k])
+        process = TimeVaryingMatrix(lambda times: np.broadcast_to(w.entries, (times.size, k, k)), states)
+        a = generate_time_varying(process, n, seed, start=start)
+        b = simulate(w, start, n, seed)
+        np.testing.assert_array_equal(a.indices, b.indices)
+
+    def test_uniform_past_a_short_row_sum_stays_on_its_mass(self):
+        # (1, 4, 1, 0) / 6 accumulates to just under one: a uniform at that
+        # sum must not fall through to the zero-probability last state
+        mass = np.array([1.0, 4.0, 1.0, 0.0]) / 6.0
+        end = float(np.cumsum(mass)[-1])
+        assert end < 1.0
+        u = np.array([[end, end, 1.0 - 2.0**-53]])
+        rows = np.tile(mass, (4, 1))
+        np.testing.assert_array_equal(_walk(rows, mass, u), [[2, 2, 2]])
+        np.testing.assert_array_equal(oracle_walk(rows, mass, u[0]), [2, 2, 2])
+
+    def test_batch_draws_start_uniforms_then_steps(self):
+        w = mat2(0.7, 0.3, 0.4, 0.6)
+        start = np.array([0.25, 0.75])
+        paths = simulate_batch(w.entries, start, 30, 5, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        u = np.column_stack([rng.random(5), rng.random((5, 29))])
+        for path, uniforms in zip(paths, u):
+            np.testing.assert_array_equal(path, oracle_walk(w.entries, start, uniforms))

@@ -93,6 +93,19 @@ class TestFrequencyEstimate:
         with pytest.raises(ValueError):
             frequency_estimate(seq([1]))
 
+    def test_keeps_the_given_state_values(self):
+        series = StateSequence([0, 1, 2, 2, 0], 3)
+        w = frequency_estimate(series, SKEWED)
+        assert w.states == SKEWED
+        np.testing.assert_array_equal(w.entries[2], [0.5, 0.0, 0.5])
+
+    def test_default_labels_are_the_symmetric_codes(self):
+        assert frequency_estimate(seq([1, -1, 1])).states == BINARY
+
+    def test_rejects_a_state_space_of_another_size(self):
+        with pytest.raises(ValueError):
+            frequency_estimate(StateSequence([0, 1, 2, 1], 3), BINARY)
+
 
 class TestMaxEntEstimate:
     def test_exact_fifth_autocorrelation(self):
@@ -187,13 +200,11 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             sliding_window(seq([1, -1, 1]), 2, "bogus", BINARY)
 
-    def test_matrices_property_validates(self):
+    def test_window_entries_are_row_stochastic(self):
         series = seq([1, -1, 1, 1, -1])
         est = sliding_window(series, 2, "maxent", BINARY)
-        mats = est.matrices
-        assert len(mats) == len(est.times)
-        for m in mats:
-            assert np.abs(m.entries.sum(axis=1) - 1.0).max() <= 1e-12
+        assert len(est.entries) == len(est.times)
+        assert np.abs(est.entries.sum(axis=-1) - 1.0).max() <= 1e-12
 
 
 def exact_entries(states, target):

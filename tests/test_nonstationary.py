@@ -113,14 +113,14 @@ class TestAutocorrelationCycle:
         # t % period never repeats for a fractional period, so a cache keyed
         # by phase would hold one matrix per step of the series
         process = autocorrelation_cycle(StateSpace.ternary(), period=500.5, amplitude=0.3)
-        for t in range(1200):
-            w = process.at(t)
+        process.entries(np.arange(1200))
+        w = process.at(1199)
         target = 0.3 * math.sin(2 * math.pi * 1199 / 500.5)
         assert matrix_autocorrelation(stationary_distribution(w), w) == pytest.approx(
             target, abs=1e-8
         )
-        cells = process.generator.__closure__ or ()
-        cached = sum(len(c.cell_contents) for c in cells if isinstance(c.cell_contents, dict))
+        held = [c.cell_contents for c in process.table.__closure__ or ()]
+        cached = sum(len(v) for v in held if isinstance(v, (dict, list, np.ndarray)))
         assert cached <= 501
 
     def test_rejects_infeasible_swing(self):
