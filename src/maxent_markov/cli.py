@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .accuracy import critical_size_map, mu_curve
 from .chains import ReducibleChainError, StateSpace, StochasticMatrix
-from .estimators import frequency_estimate, maxent_estimate, sample_autocorrelation
-from .forecast import backtest, step_distribution, symmetrized_centiles, tail_bins
+from .estimators import _window_entries, frequency_estimate, maxent_estimate, sample_autocorrelation
+from .forecast import backtest, step_distribution, symmetrized_centiles
 from .ingest import (
     PriceDataError,
     discretize,
@@ -309,13 +309,7 @@ def _cmd_forecast(args) -> None:
     series, states = _load_series(args)
     if len(series) < args.window:
         raise PriceDataError("series shorter than the requested window")
-    window = series.slice(len(series) - args.window, len(series))
-    if args.method == "maxent":
-        entries = maxent_estimate(window, states).matrix.entries
-    elif args.method == "sampling":
-        entries = frequency_estimate(window, states).entries
-    else:
-        entries = np.full((states.size, states.size), 1.0 / states.size)
+    entries = _window_entries(series, states, args.method, [len(series) - 1], args.window)[0]
     matrix = StochasticMatrix(entries, states)
     origin = int(series.indices[-1])
     q = step_distribution(matrix, origin, args.horizon)

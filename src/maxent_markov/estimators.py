@@ -129,25 +129,34 @@ def maxent_entries(states: StateSpace, pair_sums, n_pairs) -> np.ndarray:
     return np.asarray(solved, dtype=float).reshape(-1, states.size, states.size)[inverse]
 
 
-def _window_pair_sums(values: np.ndarray, window: int) -> np.ndarray:
-    """Sum of consecutive-pair products for every trailing window."""
-    z = values[:-1] * values[1:]
-    cz = np.concatenate([[0.0], np.cumsum(z)])
-    ends = np.arange(window - 1, values.size)
-    return cz[ends] - cz[ends - window + 1]
+def _window_entries(series: StateSequence, states: StateSpace, method: str, ends, windows) -> np.ndarray:
+    """Estimates from the trailing windows ending at ``ends``, shape (len(ends), K, K).
 
-
-def _window_counts(series: StateSequence, window: int) -> np.ndarray:
-    """Transition counts per trailing window, shape (n_windows, K, K)."""
-    k = series.n_states
-    idx = series.indices
-    codes = idx[:-1] * k + idx[1:]
-    one_hot = np.zeros((codes.size + 1, k * k))
-    one_hot[np.arange(1, codes.size + 1), codes] = 1.0
-    cum = np.cumsum(one_hot, axis=0)
-    ends = np.arange(window - 1, len(series))
-    counts = cum[ends] - cum[ends - window + 1]
-    return counts.reshape(-1, k, k)
+    The window ending at ``t`` (0-based) holds the observations
+    ``t - windows + 1 .. t``; ``windows`` is one length or one per end.
+    Counts and pair sums are differences of cumulative sums over the
+    series, and all maxent windows share one ``maxent_entries`` batch.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if states.size != series.n_states:
+        raise ValueError("state space size does not match the sequence")
+    k = states.size
+    ends = np.asarray(ends, dtype=np.int64)
+    if method == "naive":
+        return np.full((ends.size, k, k), 1.0 / k)
+    if np.min(windows) < 2:
+        raise ValueError("window must be >= 2 to observe transitions")
+    starts = ends - windows + 1
+    if method == "sampling":
+        idx = series.indices
+        cum = np.zeros((len(series), k * k))  # row t counts the transitions arriving by t
+        cum[np.arange(1, len(series)), idx[:-1] * k + idx[1:]] = 1.0
+        np.cumsum(cum, axis=0, out=cum)
+        return transition_frequencies((cum[ends] - cum[starts]).reshape(-1, k, k))
+    x = series.values(states)
+    cz = np.concatenate([[0.0], np.cumsum(x[:-1] * x[1:])])
+    return maxent_entries(states, cz[ends] - cz[starts], np.asarray(windows) - 1)
 
 
 def sliding_window(
@@ -158,26 +167,7 @@ def sliding_window(
     The estimate at time ``t`` (0-based) uses exactly the observations
     ``t - window + 1 .. t``; windows advance one step at a time.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if states.size != series.n_states:
-        raise ValueError("state space size does not match the sequence")
     if len(series) < window:
         raise ValueError(f"series of length {len(series)} is shorter than the window {window}")
-    if window < 2 and method != "naive":
-        raise ValueError("window must be >= 2 to observe transitions")
-
-    k = states.size
     times = np.arange(window - 1, len(series))
-
-    if method == "naive":
-        entries = np.full((times.size, k, k), 1.0 / k)
-        return WindowEstimate(times, entries, method, states)
-
-    if method == "sampling":
-        entries = transition_frequencies(_window_counts(series, window))
-        return WindowEstimate(times, entries, method, states)
-
-    # maxent
-    pair_sums = _window_pair_sums(series.values(states), window)
-    return WindowEstimate(times, maxent_entries(states, pair_sums, window - 1), method, states)
+    return WindowEstimate(times, _window_entries(series, states, method, times, window), method, states)

@@ -17,12 +17,12 @@ split atom inherit the same fractional weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .chains import StateSequence, StateSpace, StochasticMatrix
-from .estimators import frequency_estimate, maxent_entries
+from .chains import StateSequence, StateSpace, StochasticMatrix, _stochastic_rows
+from .estimators import _window_entries
 
 N_TAIL_BINS = 10
 BACKTEST_METHODS = ("maxent", "sampling", "naive")
@@ -100,61 +100,64 @@ class BacktestReport:
     stride: int
 
 
+def _step_masses(
+    states: StateSpace, entries: np.ndarray, origins: np.ndarray, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Support and ``horizon``-step sum masses of a stack, shape ``(B, width)``.
+
+    ``entries`` is ``(B, K, K)``, one matrix per origin state in ``origins``.
+    Dynamic programming over (state, partial sum), one batched product per
+    step.  State values must be integers so the sums live on a lattice.
+    """
+    x = states.as_array()
+    x_int = np.rint(x).astype(np.int64)
+    if np.any(x_int != x):
+        raise ValueError("step distributions need integer state values")
+    span = int(horizon * np.abs(x_int).max())
+    table = np.zeros((len(origins), states.size, 2 * span + 1))
+    table[np.arange(len(origins)), origins, span] = 1.0
+    for _ in range(horizon):
+        arrivals = table.transpose(0, 2, 1) @ entries  # (B, width, K): mass arriving at j per sum
+        # sums reachable within the horizon stay inside the support: nothing nonzero wraps
+        table = np.stack([np.roll(arrivals[:, :, j], shift, axis=1) for j, shift in enumerate(x_int)], axis=1)
+    return np.arange(-span, span + 1), table.sum(axis=1)
+
+
 def step_distribution(w: StochasticMatrix, origin: int, horizon: int) -> StepDistribution:
     """Exact ``horizon``-step sum distribution from ``origin``.
 
-    Dynamic programming over (state, partial sum); equals the explicit
-    sum over all ``K**horizon`` transition paths.  State values must be
-    integers so the sums live on a lattice.
+    Equals the explicit sum over all ``K**horizon`` transition paths.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if not 0 <= origin < w.size:
         raise ValueError(f"origin state {origin} out of range")
-    x = w.states.as_array()
-    x_int = np.rint(x).astype(np.int64)
-    if np.any(x_int != x):
-        raise ValueError("step distributions need integer state values")
-
-    span = int(horizon * np.abs(x_int).max())
-    width = 2 * span + 1
-    table = np.zeros((w.size, width))
-    table[origin, span] = 1.0
-    entries = w.entries
-    for _ in range(horizon):
-        new = np.zeros_like(table)
-        arrivals = table.T @ entries  # (width, K): mass arriving at state j per sum
-        for j in range(w.size):
-            shift = int(x_int[j])
-            if shift == 0:
-                new[j] += arrivals[:, j]
-            elif shift > 0:
-                new[j, shift:] += arrivals[:-shift, j]
-            else:
-                new[j, :shift] += arrivals[-shift:, j]
-        table = new
-    return StepDistribution(
-        horizon, origin, np.arange(-span, span + 1), table.sum(axis=0)
-    )
+    support, masses = _step_masses(w.states, w.entries[None], np.array([origin]), horizon)
+    return StepDistribution(horizon, origin, support, masses[0])
 
 
-def _split_one_side(mass: np.ndarray, order: Iterable[int], target: float) -> np.ndarray:
-    """Walk atoms in ``order`` filling ten bins of exactly ``target`` each."""
-    out = np.zeros((mass.size, N_TAIL_BINS))
-    bin_idx = 0
-    room = target
-    for i in order:
-        remaining = mass[i]
-        while remaining > _DUST and bin_idx < N_TAIL_BINS:
-            take = min(remaining, room)
-            out[i, bin_idx] += take
-            remaining -= take
-            room -= take
-            if room <= 1e-15 * target:
-                bin_idx += 1
-                room = target
-        if bin_idx >= N_TAIL_BINS:
-            break
+def _split(mass: np.ndarray, target: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Fill ten bins of exactly ``target`` per row walking atoms in order, ``(B, width, 10)``.
+
+    Rows of ``mass`` (``(B, width)``) are walked from the lowest atom, or
+    the highest with ``reverse``; boundary atoms are split between bins.
+    """
+    out = np.zeros(mass.shape + (N_TAIL_BINS,))
+    bin_idx = np.zeros(mass.shape[0], dtype=np.int64)
+    room = target.copy()
+    for i in range(mass.shape[1] - 1, -1, -1) if reverse else range(mass.shape[1]):
+        remaining = mass[:, i].copy()
+        while True:
+            live = np.flatnonzero((remaining > _DUST) & (bin_idx < N_TAIL_BINS))
+            if live.size == 0:
+                break
+            take = np.minimum(remaining[live], room[live])
+            out[live, i, bin_idx[live]] = take
+            remaining[live] -= take
+            room[live] -= take
+            full = live[room[live] <= 1e-15 * target[live]]
+            bin_idx[full] += 1
+            room[full] = target[full]
     return out
 
 
@@ -166,13 +169,12 @@ def tail_bins(q: StepDistribution) -> TailBins:
     each bin holds exactly one percent of the total mass.
     """
     mass = q.probabilities
-    target = q.total / 100.0
-    if target <= 0:
+    target = np.array([q.total / 100.0])
+    if target[0] <= 0:
         raise ValueError("distribution carries no mass")
-    n = mass.size
-    lower = _split_one_side(mass, range(n), target)
-    upper = _split_one_side(mass, range(n - 1, -1, -1), target)
-    return TailBins(q.support, mass, lower, upper, target)
+    lower = _split(mass[None], target)[0]
+    upper = _split(mass[None], target, reverse=True)[0]
+    return TailBins(q.support, mass, lower, upper, float(target[0]))
 
 
 def symmetrized_centiles(q: StepDistribution) -> TailCentiles:
@@ -249,14 +251,35 @@ def tail_error(predicted: TailCentiles, realized: TailCentiles) -> float:
     return float((np.abs(predicted.pi - realized.pi) / predicted.pi).sum())
 
 
-def _estimate_entries(
-    window: StateSequence, states: StateSpace, method: str
-) -> np.ndarray:
-    if method == "sampling":
-        return frequency_estimate(window, states).entries
-    if method == "naive":
-        return np.full((states.size, states.size), 1.0 / states.size)
-    raise ValueError(f"method must be one of {BACKTEST_METHODS}, got {method!r}")
+def _score_stack(
+    states: StateSpace, entries: np.ndarray, origins: np.ndarray, realized: np.ndarray, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted and realized centile masses of a stack of forecasts, each summed over it.
+
+    Forecast ``b`` runs ``entries[b]`` from state ``origins[b]``; its realized
+    sum ``realized[b]`` inherits the split of its atom, and ``_assign``
+    places the sums the forecast gave zero mass.  Sums over the stack add
+    forecast after forecast, in stack order.
+    """
+    support, masses = _step_masses(states, entries, origins, horizon)
+    target = masses.sum(axis=1) / 100.0
+    rows = np.arange(masses.shape[0])
+    at = realized - support[0]
+    atom = masses[rows, at]
+    unseen = np.flatnonzero(atom <= 0.0)
+    lower = _split(masses, target)  # reduced before the upper bins are built
+    predicted = lower.sum(axis=1)
+    hit = lower[rows, at]
+    unseen_lower = lower[unseen]
+    del lower
+    upper = _split(masses, target, reverse=True)
+    predicted += upper.sum(axis=1)
+    hit += upper[rows, at]
+    weights = hit / np.where(atom > 0.0, atom, 1.0)[:, None]
+    for b, low in zip(unseen.tolist(), unseen_lower):
+        bins = TailBins(support, masses[b], low, upper[b], float(target[b]))
+        weights[b] = _assign(int(realized[b]), bins)
+    return np.add.reduce(predicted, axis=0), np.add.reduce(weights, axis=0)
 
 
 def backtest(
@@ -273,56 +296,40 @@ def backtest(
     from the trailing ``n`` observations at each origin, the tail
     centiles of its ``horizon``-step sum forecast are predicted, and the
     realized sums are pooled into the predicted bins before the tail
-    error is taken.  The maxent matrices of all window sizes and origins
-    come from one ``maxent_entries`` batch.
+    error is taken.  Each method estimates the windows of all sizes and
+    origins in one batch (one ``maxent_entries`` call for maxent), and
+    each (size, method) is forecast and scored as one stack.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     methods = tuple(methods)
+    if not methods:
+        raise ValueError("methods must not be empty")
     for m in methods:
         if m not in BACKTEST_METHODS:
             raise ValueError(f"unknown method {m!r}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods must not repeat, got {methods}")
     sizes = np.asarray([int(n) for n in sample_sizes], dtype=int)
+    if sizes.size == 0:
+        raise ValueError("sample_sizes must not be empty")
     if sizes.min() < 2:
         raise ValueError("window sizes must be >= 2")
     if len(series) < sizes.max() + horizon:
         raise ValueError("series too short for the largest window plus horizon")
 
-    x = np.rint(series.values(states)).astype(np.int64)
+    cx = np.concatenate([[0], np.cumsum(np.rint(series.values(states)).astype(np.int64))])
     origins = [np.arange(n - 1, len(series) - horizon, stride) for n in sizes]
-    if "maxent" in methods:
-        cz = np.concatenate([[0], np.cumsum(x[:-1] * x[1:])])
-        pair_sums = np.concatenate([cz[o] - cz[o - n + 1] for n, o in zip(sizes, origins)])
-        per_size = [o.size for o in origins]
-        flat = maxent_entries(states, pair_sums, np.repeat(sizes - 1, per_size))
-        maxent = np.split(flat, np.cumsum(per_size)[:-1])
+    counts = np.array([o.size for o in origins])
+    ends = np.concatenate(origins)
     delta = {m: np.empty(sizes.size) for m in methods}
-    counts = np.empty(sizes.size, dtype=int)
-    for si, n in enumerate(sizes):
-        pred_acc = {m: np.zeros(N_TAIL_BINS) for m in methods}
-        real_acc = {m: np.zeros(N_TAIL_BINS) for m in methods}
-        used = 0
-        for oi, t in enumerate(origins[si].tolist()):
-            window = series.slice(t - int(n) + 1, t + 1)
-            realized = int(x[t + 1 : t + horizon + 1].sum())
-            origin_state = int(series.indices[t])
-            for m in methods:
-                if m == "maxent":
-                    entries = maxent[si][oi]
-                else:
-                    entries = _estimate_entries(window, states, m)
-                q = step_distribution(
-                    StochasticMatrix(entries, states), origin_state, horizon
-                )
-                bins = tail_bins(q)
-                pred_acc[m] += bins.lower.sum(axis=0) + bins.upper.sum(axis=0)
-                real_acc[m] += _assign(realized, bins)
-            used += 1
-        counts[si] = used
-        for m in methods:
-            predicted = TailCentiles(pred_acc[m] / used)
-            realized_tc = TailCentiles(real_acc[m] / used)
-            delta[m][si] = tail_error(predicted, realized_tc)
+    for m in methods:
+        entries = _window_entries(series, states, m, ends, np.repeat(sizes, counts))
+        stacks = np.split(_stochastic_rows(entries, entries.shape), np.cumsum(counts)[:-1])
+        for si, (o, stack) in enumerate(zip(origins, stacks)):
+            realized = cx[o + horizon + 1] - cx[o + 1]
+            pred, real = _score_stack(states, stack, series.indices[o], realized, horizon)
+            delta[m][si] = tail_error(TailCentiles(pred / o.size), TailCentiles(real / o.size))
     return BacktestReport(sizes, delta, counts, horizon, stride)

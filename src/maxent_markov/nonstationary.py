@@ -30,6 +30,7 @@ from .estimators import sliding_window
 from .solver import feasible_range, maxent_nstate
 
 TRACKING_METHODS = ("maxent", "sampling")
+_BLOCK_STEPS = 8192  # steps walked per block: bounds the per-step rows held at once
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,12 @@ def generate_time_varying(
     if start is None:
         start = stationary_distribution(process.at(0))
     u = np.random.default_rng(seed).random((1, length))
-    path = _walk(process.entries(np.arange(length - 1)), start.mass, u)[0]
+    path = np.empty(length, dtype=np.int64)
+    mass = start.mass
+    for a in range(0, max(length - 1, 1), _BLOCK_STEPS):  # the rows of one block at a time
+        b = min(a + _BLOCK_STEPS, length - 1)
+        path[a : b + 1] = _walk(process.entries(np.arange(a, b)), mass, u[:, a : b + 1])[0]
+        mass = np.eye(process.states.size)[path[b]]  # a point start draws this state for any u
     return StateSequence(path, process.states.size)
 
 

@@ -219,6 +219,42 @@ class TestForecastAndBacktest:
         assert methods == {"maxent", "sampling", "naive"}
         assert all(float(r[2]) >= 0 for r in rows)
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--n", ","], "sample_sizes"),
+            (["--n", "10", "--methods", ""], "methods"),
+            (["--n", "10", "--methods", "maxent,maxent"], "methods"),
+        ],
+    )
+    def test_backtest_rejects_empty_or_repeated_lists(self, tmp_path, rng, capsys, flags, name):
+        inp = write_states_csv(tmp_path, rng.choice([-1, 0, 1], size=100))
+        out = tmp_path / "backtest.csv"
+        assert main(["backtest", "--input", str(inp), *flags, "--output", str(out)]) == EXIT_DATA
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["maxent", "sampling", "naive"])
+    def test_forecast_uses_the_trailing_window_estimate(self, tmp_path, rng, method):
+        from maxent_markov import StateSpace, StochasticMatrix, ingest, step_distribution
+        from maxent_markov.estimators import frequency_estimate, maxent_estimate
+
+        inp = write_states_csv(tmp_path, rng.choice([-1, 0, 1], size=80))
+        out = tmp_path / "forecast.csv"
+        assert main(["forecast", "--input", str(inp), "--window", "30", "--method", method,
+                     "--horizon", "5", "--output", str(out)]) == EXIT_OK
+        series, states = ingest.load_states(inp)
+        window = series.slice(50, 80)
+        if method == "maxent":
+            entries = maxent_estimate(window, states).matrix.entries
+        elif method == "sampling":
+            entries = frequency_estimate(window, states).entries
+        else:
+            entries = np.full((3, 3), 1.0 / 3.0)
+        q = step_distribution(StochasticMatrix(entries, states), int(series.indices[-1]), 5)
+        _, _, rows = read_artifact(out)
+        assert [r[2] for r in rows if r[0] == "mass"] == [repr(float(p)) for p in q.probabilities]
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):

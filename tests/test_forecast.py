@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxent_markov import (
     Distribution,
@@ -10,6 +12,7 @@ from maxent_markov import (
     StateSpace,
     StochasticMatrix,
     backtest,
+    frequency_estimate,
     maxent_estimate,
     realized_centile_fractions,
     simulate,
@@ -18,11 +21,88 @@ from maxent_markov import (
     tail_bins,
     tail_error,
 )
-from maxent_markov.forecast import TailCentiles, _assign
+from maxent_markov import forecast
+from maxent_markov.forecast import N_TAIL_BINS, TailBins, TailCentiles, _assign, _split, _step_masses
 
 from conftest import random_irreducible
 
 TERNARY = StateSpace.ternary()
+
+
+def split_one_side(mass, order, target):
+    """Scalar reference splitter: walk atoms in ``order`` filling ten bins of ``target``."""
+    out = np.zeros((mass.size, N_TAIL_BINS))
+    bin_idx = 0
+    room = target
+    for i in order:
+        remaining = mass[i]
+        while remaining > forecast._DUST and bin_idx < N_TAIL_BINS:
+            take = min(remaining, room)
+            out[i, bin_idx] += take
+            remaining -= take
+            room -= take
+            if room <= 1e-15 * target:
+                bin_idx += 1
+                room = target
+        if bin_idx >= N_TAIL_BINS:
+            break
+    return out
+
+
+def scalar_bins(q):
+    """Tail bins of one forecast from the scalar splitter."""
+    target = q.total / 100.0
+    n = q.probabilities.size
+    lower = split_one_side(q.probabilities, range(n), target)
+    upper = split_one_side(q.probabilities, range(n - 1, -1, -1), target)
+    return TailBins(q.support, q.probabilities, lower, upper, target)
+
+
+def per_origin_backtest(series, states, sizes, horizon, methods, stride):
+    """Reference backtest: one matrix, forecast and bin split per origin and method."""
+    k = states.size
+    x = np.rint(series.values(states)).astype(int)
+    delta = {m: [] for m in methods}
+    for n in sizes:
+        origins = range(n - 1, len(series) - horizon, stride)
+        for m in methods:
+            pred = np.zeros(N_TAIL_BINS)
+            real = np.zeros(N_TAIL_BINS)
+            for t in origins:
+                window = series.slice(t - n + 1, t + 1)
+                if m == "maxent":
+                    entries = maxent_estimate(window, states).matrix.entries
+                elif m == "sampling":
+                    entries = frequency_estimate(window, states).entries
+                else:
+                    entries = np.full((k, k), 1.0 / k)
+                q = step_distribution(StochasticMatrix(entries, states), int(series.indices[t]), horizon)
+                bins = scalar_bins(q)
+                pred += bins.lower.sum(axis=0) + bins.upper.sum(axis=0)
+                real += _assign(int(x[t + 1 : t + horizon + 1].sum()), bins)
+            used = len(origins)
+            delta[m].append(tail_error(TailCentiles(pred / used), TailCentiles(real / used)))
+    return delta
+
+
+@st.composite
+def integer_spaces(draw, bound=3):
+    """Integer state spaces with K <= 5 and values within ``bound``, or the skewed (0, 1, 3)."""
+    drawn = draw(st.lists(st.integers(-bound, bound), min_size=2, max_size=5, unique=True))
+    return StateSpace(draw(st.sampled_from([(0, 1, 3), tuple(sorted(drawn))])))
+
+
+def matrices_with_zeros(rng, k, count):
+    """Row-stochastic stack whose entries are exactly zero about a third of the time."""
+    entries = rng.dirichlet(np.ones(k), size=(count, k))
+    entries[rng.random((count, k, k)) < 0.35] = 0.0
+    entries[..., 0] += entries.sum(axis=-1) == 0.0  # no empty row
+    return entries / entries.sum(axis=-1, keepdims=True)
+
+
+def enumerable_horizon(k, horizon):
+    """Cap ``horizon`` so that path enumeration stays within 4096 paths."""
+    return min(horizon, int(math.log(4096) / math.log(k)))
 
 
 def enumerate_paths(entries, x_values, origin, horizon):
@@ -104,6 +184,83 @@ class TestStepDistribution:
             step_distribution(w, 0, 0)
         with pytest.raises(ValueError):
             step_distribution(w, 5, 2)
+
+
+class TestBatchedCore:
+    @settings(max_examples=60, deadline=None)
+    @given(integer_spaces(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_step_masses_match_path_enumeration(self, states, horizon, count, seed):
+        rng = np.random.default_rng(seed)
+        horizon = enumerable_horizon(states.size, horizon)
+        entries = matrices_with_zeros(rng, states.size, count)
+        origins = rng.integers(states.size, size=count)
+        support, masses = _step_masses(states, entries, origins, horizon)
+        x = states.as_array()
+        for b in range(count):
+            oracle = enumerate_paths(entries[b], x, int(origins[b]), horizon)
+            mass = dict(zip(support.tolist(), masses[b]))
+            assert set(oracle) <= set(mass)
+            for total, prob in mass.items():
+                assert prob == pytest.approx(oracle.get(total, 0.0), abs=1e-12)
+            assert masses[b].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_spaces(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_splitter_equals_scalar_reference(self, states, horizon, count, seed):
+        rng = np.random.default_rng(seed)
+        entries = matrices_with_zeros(rng, states.size, count)
+        _, masses = _step_masses(states, entries, rng.integers(states.size, size=count), horizon)
+        raw = rng.dirichlet(np.ones(masses.shape[1]), size=count) * (rng.random((count, 1)) + 0.5)
+        raw[rng.random(raw.shape) < 0.3] = 0.0
+        raw[:, 0] += raw.sum(axis=1) == 0.0
+        for mass in (masses, raw):
+            target = mass.sum(axis=1) / 100.0
+            lower, upper = _split(mass, target), _split(mass, target, reverse=True)
+            width = mass.shape[1]
+            for b in range(count):
+                assert np.array_equal(lower[b], split_one_side(mass[b], range(width), target[b]))
+                assert np.array_equal(
+                    upper[b], split_one_side(mass[b], range(width - 1, -1, -1), target[b])
+                )
+            np.testing.assert_allclose(lower.sum(axis=1), np.repeat(target[:, None], 10, 1), rtol=1e-12)
+            np.testing.assert_allclose(upper.sum(axis=1), np.repeat(target[:, None], 10, 1), rtol=1e-12)
+            total = (lower.sum(axis=(1, 2)) + upper.sum(axis=(1, 2))) / mass.sum(axis=1)
+            np.testing.assert_allclose(total, 0.2, atol=1e-12)
+
+    # values within 2: maxent_nstate fails at clamped targets on some spaces with a 3
+    @settings(max_examples=40, deadline=None)
+    @given(
+        integer_spaces(bound=2),
+        st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True),
+        st.integers(1, 8),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_backtest_equals_per_origin_loop(self, states, sizes, horizon, stride, seed):
+        rng = np.random.default_rng(seed)
+        w = StochasticMatrix(matrices_with_zeros(rng, states.size, 1)[0], states)
+        series = simulate(w, Distribution.uniform(states.size), 60, seed=seed)
+        report = backtest(series, states, sizes, horizon=horizon, stride=stride)
+        expected = per_origin_backtest(series, states, sizes, horizon, report.delta, stride)
+        for m, deltas in expected.items():
+            assert report.delta[m].tolist() == deltas
+
+    def test_zero_mass_realizations_take_the_assign_rule(self, monkeypatch):
+        # sampling windows of 3 give zero mass to many realized sums
+        w = StochasticMatrix(matrices_with_zeros(np.random.default_rng(5), 3, 1)[0], TERNARY)
+        series = simulate(w, Distribution.uniform(3), 300, seed=5)
+        calls = []
+
+        def counting(value, bins):
+            calls.append(value)
+            return _assign(value, bins)
+
+        monkeypatch.setattr(forecast, "_assign", counting)
+        report = backtest(series, TERNARY, [3, 7], horizon=5, methods=("sampling",), stride=2)
+        assert calls
+        monkeypatch.undo()
+        expected = per_origin_backtest(series, TERNARY, [3, 7], 5, ("sampling",), 2)
+        assert report.delta["sampling"].tolist() == expected["sampling"]
 
 
 class TestSymmetrizedCentiles:
@@ -303,6 +460,21 @@ class TestBacktest:
         series = simulate(w, Distribution.uniform(3), 20, seed=7)
         with pytest.raises(ValueError):
             backtest(series, TERNARY, [30], horizon=4)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"sample_sizes": []}, "sample_sizes"),
+            ({"methods": ()}, "methods"),
+            ({"methods": ("maxent", "sampling", "maxent")}, "methods"),
+        ],
+    )
+    def test_rejects_empty_or_repeated_arguments(self, rng, kwargs, name):
+        w = random_irreducible(rng, 3)
+        series = simulate(w, Distribution.uniform(3), 100, seed=8)
+        kwargs = {"sample_sizes": [10], **kwargs}
+        with pytest.raises(ValueError, match=name):
+            backtest(series, TERNARY, **kwargs)
 
     def test_rejects_unknown_method(self, rng):
         w = random_irreducible(rng, 3)

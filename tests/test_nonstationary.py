@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from maxent_markov import nonstationary
+from maxent_markov.chains import _walk
 from maxent_markov import (
     StateSpace,
     autocorrelation_cycle,
@@ -85,6 +88,33 @@ class TestGeneration:
         stays = np.array(stays)
         assert stays.min() > 0.3 and stays.max() < 0.9
         assert (stays > 0.5).any() and (stays < 0.7).any()
+
+    @pytest.mark.parametrize("ternary", [False, True])
+    def test_block_walk_equals_one_walk(self, ternary):
+        # paths ending just before, at and just after block boundaries
+        if ternary:
+            process = autocorrelation_cycle(StateSpace.ternary(), period=40, amplitude=0.4)
+        else:
+            process = toy_process(333.3)
+        block = nonstationary._BLOCK_STEPS
+        for length in (1, 2, block, block + 1, block + 2, 2 * block + 1, 2 * block + 2):
+            start = stationary_distribution(process.at(0))
+            u = np.random.default_rng(length).random((1, length))
+            expected = _walk(process.entries(np.arange(length - 1)), start.mass, u)[0]
+            path = generate_time_varying(process, length, seed=length)
+            assert np.array_equal(path.indices, expected)
+
+    def test_long_path_memory_is_bounded(self):
+        # one 200k-step path: about 40 MB if every step's rows were held at once
+        process = autocorrelation_cycle(StateSpace.ternary(), period=500, amplitude=0.4)
+        process.entries(np.arange(500))  # solve the cycle outside the traced walk
+        tracemalloc.start()
+        try:
+            generate_time_varying(process, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
     def test_generic_generator_matches_toy(self):
         process = toy_process(500.0)
