@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import StateSequence, StateSpace, StochasticMatrix
-from .solver import MaxEntSolution, feasible_range, maxent_2state, maxent_nstate
+from .solver import MaxEntSolution, _maxent_batch, feasible_range, maxent_2state, maxent_nstate
 
 CLAMP_MARGIN = 1e-6
 
@@ -109,10 +109,10 @@ def maxent_entries(states: StateSpace, pair_sums, n_pairs) -> np.ndarray:
 
     Window ``i`` has sample autocorrelation ``pair_sums[i] / n_pairs`` (a
     scalar, or one pair count per window), clamped like ``maxent_estimate``.
-    Each distinct target is solved once and its entries are shared by every
-    window that has it; on integer state values the targets lie on a
-    lattice, so a long series needs few solves.  Entries equal those of
-    per-window ``maxent_estimate`` bit for bit.
+    The distinct targets are solved once, as one batch, and their entries are
+    shared by every window that has them; on integer state values the
+    targets lie on a lattice, so a long series needs few solves.  Entries
+    equal those of per-window ``maxent_estimate`` bit for bit.
     """
     bounds = feasible_range(states)
     targets = np.clip(
@@ -125,8 +125,8 @@ def maxent_entries(states: StateSpace, pair_sums, n_pairs) -> np.ndarray:
         stay = (1.0 + distinct) / 2.0
         solved = np.stack([stay, 1.0 - stay, 1.0 - stay, stay], axis=-1)
     else:
-        solved = [maxent_nstate(states, float(a)).matrix.entries for a in distinct]
-    return np.asarray(solved, dtype=float).reshape(-1, states.size, states.size)[inverse]
+        solved = _maxent_batch(states, distinct)[0]
+    return solved.reshape(-1, states.size, states.size)[inverse]
 
 
 def _window_entries(series: StateSequence, states: StateSpace, method: str, ends, windows) -> np.ndarray:
@@ -141,12 +141,12 @@ def _window_entries(series: StateSequence, states: StateSpace, method: str, ends
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if states.size != series.n_states:
         raise ValueError("state space size does not match the sequence")
+    if np.min(windows) < 2:
+        raise ValueError("window must be >= 2 to observe transitions")
     k = states.size
     ends = np.asarray(ends, dtype=np.int64)
     if method == "naive":
         return np.full((ends.size, k, k), 1.0 / k)
-    if np.min(windows) < 2:
-        raise ValueError("window must be >= 2 to observe transitions")
     starts = ends - windows + 1
     if method == "sampling":
         idx = series.indices

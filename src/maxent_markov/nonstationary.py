@@ -27,7 +27,7 @@ from .chains import (
     stationary_distribution,
 )
 from .estimators import sliding_window
-from .solver import feasible_range, maxent_nstate
+from .solver import _maxent_batch, feasible_range
 
 TRACKING_METHODS = ("maxent", "sampling")
 _BLOCK_STEPS = 8192  # steps walked per block: bounds the per-step rows held at once
@@ -114,8 +114,7 @@ def autocorrelation_cycle(
 
     def solve(times) -> np.ndarray:
         targets = [center + amplitude * math.sin(2.0 * math.pi * t / period) for t in times]
-        solved = [maxent_nstate(states, a).matrix.entries for a in targets]
-        return np.asarray(solved, dtype=float).reshape(-1, k, k)
+        return _maxent_batch(states, targets)[0]
 
     if not float(period).is_integer():
         return TimeVaryingMatrix(lambda times: solve(times.tolist()), states)

@@ -8,10 +8,11 @@ autocorrelation ``A``, the entropy-rate maximizer has the tilted form
 where ``(rho, v)`` is the Perron pair of the symmetric positive matrix
 ``M_ij = exp(lam * x_i * x_j)``.  The multiplier ``lam`` is the only free
 unknown (the remaining multipliers of the variational problem enforce
-normalization and reversibility and are eliminated analytically); it is
-matched to the target autocorrelation by a bracketed one-dimensional root
-search, which is well posed because the autocorrelation is nondecreasing
-in ``lam``.
+normalization and reversibility and are eliminated analytically).  The
+autocorrelation is ``A(lam) = d log rho / d lam`` and ``log rho`` is convex,
+so ``A`` is nondecreasing and each target is a one-dimensional monotone
+root.  All targets of a batch are matched together by a safeguarded Newton
+iteration, one stacked eigendecomposition per pass.
 
 For two +-1 states the construction collapses to the closed form
 
@@ -20,25 +21,16 @@ For two +-1 states the construction collapses to the closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .chains import (
-    Distribution,
-    StateSpace,
-    StochasticMatrix,
-    detailed_balance_residual,
-    matrix_autocorrelation,
-)
+from .chains import Distribution, StateSpace, StochasticMatrix
 
-LAMBDA_BRACKET = 50.0
-_BRACKET_CAP = 50.0 * 2**20
 TARGET_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 BOUNDARY_MARGIN = 1e-9
-_ITERATION_CAP = 10_000
+_PASS_CAP = 200  # Newton/bisection passes; bisection alone needs ~60 after ~10 doublings
 
 
 class InfeasibleTargetError(ValueError):
@@ -99,14 +91,7 @@ class LagrangeResiduals:
 
     @property
     def max_violation(self) -> float:
-        return max(
-            self.diagonal,
-            self.cross,
-            self.row_sums,
-            self.total_mass,
-            self.detailed_balance,
-            self.autocorrelation,
-        )
+        return max(astuple(self))
 
 
 def feasible_range(states: StateSpace) -> FeasibleRange:
@@ -122,43 +107,101 @@ def feasible_range(states: StateSpace) -> FeasibleRange:
     return FeasibleRange(float(products.min()), float(products.max()))
 
 
-def _perron(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron eigenpair of an entrywise-positive symmetric matrix.
+def _refined_chain(m: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries ``(T, K, K)`` and stationary mass ``(T, K)`` of tilted matrices ``m``.
 
-    Uses the dense symmetric eigensolver; if extreme tilts make the
-    leading eigenvector numerically degenerate (components underflowing
-    to zero), falls back to fixed-point iteration from a positive start,
-    which keeps the eigenvector strictly positive.
+    ``eigh`` gives the Perron vector to absolute precision only, so tiny
+    components carry large relative errors.  Two refinement steps add
+    positive terms only: per component, a power step
+    ``v_i <- (M v)_i / rho``, or a Jacobi step on ``(rho - M) v = 0``,
+    ``v_i <- sum_(j != i) M_ij v_j / (rho - M_ii)``, where that is the
+    better conditioned of the two (``v_i / max v < (rho - M_ii) / rho``: a
+    small component of a state whose self-weight nearly matches ``rho``,
+    which power steps would not correct).  The entries
+    ``M_ij v_j / (M v)_i`` then sum to one row by row, and the mass
+    ``v_i (M v)_i`` is in detailed balance with them.
     """
-    evals, evecs = np.linalg.eigh(m)
-    v = np.abs(evecs[:, -1])
-    if v.min() > 1e-12 * v.max():
-        return float(evals[-1]), v
-    v = np.full(m.shape[0], 1.0 / np.sqrt(m.shape[0]))
-    for _ in range(_ITERATION_CAP):
-        v_next = m @ v
-        v_next = v_next / np.linalg.norm(v_next)
-        if np.abs(v_next - v).max() <= 1e-15:
-            v = v_next
+    k = m.shape[-1]
+    rho = evals[:, -1:]
+    diag = m[:, range(k), range(k)]
+    off = m.copy()
+    off[:, range(k), range(k)] = 0.0
+    v = np.abs(evecs[..., -1])
+    for _ in range(2):
+        rest = (off * v[:, None, :]).sum(axis=-1)
+        jacobi = v * rho < v.max(axis=-1, keepdims=True) * (rho - diag)
+        v = np.where(jacobi, rest / (rho - diag), (rest + diag * v) / rho)
+    mv = (m * v[:, None, :]).sum(axis=-1)
+    p = v * mv
+    return m * v[:, None, :] / mv[:, :, None], p / p.sum(axis=-1, keepdims=True)
+
+
+def _solve_multipliers(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multipliers ``(T,)``, entries and stationary mass matching each target.
+
+    The autocorrelation ``A(lam) = d log rho / d lam`` of the tilted matrix
+    ``exp(lam x_i x_j)`` is nondecreasing, so each target is a monotone 1-D
+    root.  Every pass runs one stacked ``eigh`` over the unsettled rows and
+    takes a Newton step with the closed-form slope ``A'(lam)`` (the flux
+    variance of ``x_i x_j`` plus the second-order eigenvalue perturbation
+    over the non-Perron pairs), kept inside a per-target bracket that starts
+    at +-1 and doubles outward; a Newton step that leaves the bracket, or is
+    longer than half the previous step, is replaced by bisection.  A row
+    settles when ``A`` is within rounding of its target, or the step or
+    bracket is below one ulp of ``lam``, and is then frozen: each row's
+    passes depend on that row alone, so a batch row equals its one-row solve
+    bit for bit.  Rows still open after ``_PASS_CAP`` passes keep their last
+    iterate for the checks.
+    """
+    eps = np.finfo(float).eps
+    products = np.multiply.outer(x, x)
+    settled_excess = 4 * eps * np.abs(products).max()
+    t = targets.size
+    lam, last_step = np.zeros(t), np.full(t, np.inf)
+    lo, hi = np.full(t, -np.inf), np.full(t, np.inf)
+    out_lam, out_entries, out_mass = np.empty(t), np.empty((t,) + products.shape), np.empty((t, x.size))
+    rows = np.arange(t)
+    for n in range(_PASS_CAP):
+        if rows.size == 0:
             break
-        v = v_next
-    return float(v @ m @ v), v
-
-
-def _solve_at_multiplier(lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries and stationary mass of the tilted chain at a fixed multiplier."""
-    exponent = lam * np.outer(x, x)
-    m = np.exp(exponent - exponent.max())  # shift-invariant; avoids overflow
-    rho, v = _perron(m)
-    entries = m * v[None, :] / (rho * v[:, None])
-    entries = entries / entries.sum(axis=1, keepdims=True)
-    p = v**2 / (v**2).sum()
-    return entries, p
-
-
-def _autocorrelation_at(lam: float, x: np.ndarray) -> float:
-    entries, p = _solve_at_multiplier(lam, x)
-    return float(np.einsum("i,j,i,ij->", x, x, p, entries))
+        at = lam[rows]
+        exponent = at[:, None, None] * products
+        m = np.exp(exponent - exponent.max(axis=(1, 2), keepdims=True))  # shift-invariant
+        evals, evecs = np.linalg.eigh(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entries, mass = _refined_chain(m, evals, evecs)
+            acf = _autocorrelations(products, mass[:, :, None] * entries)
+            excess = acf - targets[rows]
+            # slope: sum_ij F_ij (x_i x_j - A)^2 + 2 sum_k (u_k' G v)^2 / (rho (rho - w_k)),
+            # with the flux F_ij = v_i M_ij v_j / rho and G = (x_i x_j - A) M_ij
+            v, rho = np.abs(evecs[..., -1]), evals[:, -1:]
+            g = (products - acf[:, None, None]) * m
+            spread = (v[:, :, None] * g * (products - acf[:, None, None]) * v[:, None, :]).sum(axis=(1, 2))
+            coupling = (evecs[..., :-1] * (g * v[:, None, :]).sum(axis=-1)[:, :, None]).sum(axis=1)
+            slope = (spread + 2 * (coupling**2 / (rho - evals[:, :-1])).sum(axis=-1)) / rho[:, 0]
+            newton = at - excess / slope
+            shrinks = np.abs(2 * excess) <= np.abs(last_step[rows] * slope)
+        below = lo[rows] = np.where(excess < 0, at, lo[rows])
+        above = hi[rows] = np.where(excess > 0, at, hi[rows])
+        left = np.where(np.isfinite(below), below, 2 * np.minimum(at, -0.5))
+        right = np.where(np.isfinite(above), above, 2 * np.maximum(at, 0.5))
+        fallback = np.where(excess < 0, right, left)
+        bracketed = np.isfinite(below) & np.isfinite(above)
+        fallback[bracketed] = 0.5 * (below[bracketed] + above[bracketed])
+        step = np.where((newton > left) & (newton < right) & shrinks, newton, fallback) - at
+        ulp = 2 * eps * np.maximum(np.abs(at), 1.0)
+        settled = (
+            (n == _PASS_CAP - 1)
+            | ~np.isfinite(excess)  # left to the residual checks
+            | (np.abs(excess) <= settled_excess)
+            | (np.abs(step) <= ulp)
+            | (above - below <= ulp)
+        )
+        done = rows[settled]
+        out_lam[done], out_entries[done], out_mass[done] = at[settled], entries[settled], mass[settled]
+        lam[rows], last_step[rows] = at + step, step
+        rows = rows[~settled]
+    return out_lam, out_entries, out_mass
 
 
 def maxent_2state(target: float) -> MaxEntSolution:
@@ -185,52 +228,76 @@ def maxent_2state(target: float) -> MaxEntSolution:
 def maxent_nstate(states: StateSpace, target: float) -> MaxEntSolution:
     """Maximum-entropy chain on an arbitrary state space, solved numerically.
 
+    A one-row call of the batched solve behind ``maxent_entries``.
+
     Raises:
         InfeasibleTargetError: target outside (or within 1e-9 of the
             boundary of) the feasible autocorrelation range.
         ConvergenceError: root search or residual tolerance not met.
     """
-    x = states.as_array()
-    bounds = feasible_range(states)
-    if not bounds.contains(target):
-        raise InfeasibleTargetError(
-            f"autocorrelation {target} is not strictly inside "
-            f"({bounds.lower}, {bounds.upper})"
-        )
-
-    lo, hi = -LAMBDA_BRACKET, LAMBDA_BRACKET
-    f_lo = _autocorrelation_at(lo, x) - target
-    f_hi = _autocorrelation_at(hi, x) - target
-    while f_lo > 0 or f_hi < 0:
-        # state scales far from unity need a wider bracket
-        lo, hi = 2 * lo, 2 * hi
-        if hi > _BRACKET_CAP:
-            raise ConvergenceError(
-                "could not bracket the autocorrelation multiplier", min(abs(f_lo), abs(f_hi))
-            )
-        f_lo = _autocorrelation_at(lo, x) - target
-        f_hi = _autocorrelation_at(hi, x) - target
-
-    lam = brentq(
-        lambda l: _autocorrelation_at(l, x) - target,
-        lo,
-        hi,
-        xtol=1e-15,
-        rtol=8.9e-16,
-        maxiter=_ITERATION_CAP,
+    entries, mass, multipliers, residuals = _maxent_batch(states, [target])
+    return MaxEntSolution(
+        StochasticMatrix(entries[0], states),
+        Distribution(mass[0]),
+        float(multipliers[0]),
+        float(residuals[0]),
+        float(target),
     )
-    entries, p = _solve_at_multiplier(lam, x)
-    achieved = float(np.einsum("i,j,i,ij->", x, x, p, entries))
-    if abs(achieved - target) > max(TARGET_TOL, 1e-9 * abs(target)):
-        raise ConvergenceError("root search missed the target autocorrelation", abs(achieved - target))
 
-    matrix = StochasticMatrix(entries, states)
-    stationary = Distribution(p)
-    solution = MaxEntSolution(matrix, stationary, float(lam), 0.0, float(target))
-    residual = lagrange_residuals(solution, states).max_violation
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError("solution rejected", residual)
-    return MaxEntSolution(matrix, stationary, float(lam), residual, float(target))
+
+def _maxent_batch(states: StateSpace, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Checked maximum-entropy solutions for a stack of targets.
+
+    Returns entries ``(T, K, K)``, stationary mass ``(T, K)``, multipliers
+    and largest Lagrange residuals ``(T,)``.  Raises as ``maxent_nstate``
+    does, for the first target that fails.
+    """
+    x = states.as_array()
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    bounds = feasible_range(states)
+    for target in targets:
+        if not bounds.contains(target):
+            raise InfeasibleTargetError(
+                f"autocorrelation {target} is not strictly inside ({bounds.lower}, {bounds.upper})"
+            )
+    multipliers, entries, mass = _solve_multipliers(x, targets)
+    conditions = _residual_rows(entries, mass, x, multipliers, targets)
+    residuals = conditions.max(axis=1)
+    for target, miss, residual in zip(targets, conditions[:, -1], residuals):
+        if not miss <= max(TARGET_TOL, 1e-9 * abs(target)):
+            raise ConvergenceError(f"root search missed the target autocorrelation {target}", miss)
+        if not residual <= RESIDUAL_TOL:
+            raise ConvergenceError(f"solution at autocorrelation {target} rejected", residual)
+    return entries, mass, multipliers, residuals
+
+
+def _autocorrelations(products: np.ndarray, flux: np.ndarray) -> np.ndarray:
+    """``sum_ij x_i x_j p_i W_ij`` per row of a flux stack ``p_i W_ij``, shape (T, K, K)."""
+    return (products * flux).sum(axis=(-2, -1))
+
+
+def _residual_rows(w, p, x, lam, targets) -> np.ndarray:
+    """The six ``LagrangeResiduals`` conditions per row, shape (T, 6), in field order."""
+    k = x.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.log(w)
+        d = logw[:, range(k), range(k)]
+        i, j = np.triu_indices(k, 1)
+        lam = lam[:, None]
+        diag = np.abs(d[:, i] - d[:, j] - lam * (x[i] ** 2 - x[j] ** 2))
+        cross = np.abs(d[:, i] + d[:, j] - logw[:, i, j] - logw[:, j, i] - lam * (x[i] - x[j]) ** 2)
+    flux = p[:, :, None] * w
+    return np.stack(
+        [
+            diag.max(axis=1),
+            cross.max(axis=1),
+            np.abs(w.sum(axis=-1) - 1.0).max(axis=1),
+            np.abs(p.sum(axis=-1) - 1.0),
+            np.abs(flux - flux.transpose(0, 2, 1)).max(axis=(1, 2)),
+            np.abs(_autocorrelations(np.multiply.outer(x, x), flux) - targets),
+        ],
+        axis=1,
+    )
 
 
 def lagrange_residuals(solution: MaxEntSolution, states: StateSpace) -> LagrangeResiduals:
@@ -240,34 +307,11 @@ def lagrange_residuals(solution: MaxEntSolution, states: StateSpace) -> Lagrange
     state pairs; a zero transition probability inside a ratio yields an
     infinite residual rather than an error.
     """
-    w = solution.matrix.entries
-    p = solution.stationary.mass
-    x = states.as_array()
-    lam = solution.multiplier
-    k = states.size
-
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-
-    diag = 0.0
-    cross = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = logw[i, i] - logw[j, j] - lam * (x[i] ** 2 - x[j] ** 2)
-            c = logw[i, i] + logw[j, j] - logw[i, j] - logw[j, i] - lam * (x[i] - x[j]) ** 2
-            diag = max(diag, abs(d))
-            cross = max(cross, abs(c))
-
-    return LagrangeResiduals(
-        diagonal=float(diag),
-        cross=float(cross),
-        row_sums=float(np.abs(w.sum(axis=1) - 1.0).max()),
-        total_mass=float(abs(p.sum() - 1.0)),
-        detailed_balance=detailed_balance_residual(solution.stationary, solution.matrix),
-        autocorrelation=float(
-            abs(
-                matrix_autocorrelation(solution.stationary, solution.matrix)
-                - solution.target_autocorrelation
-            )
-        ),
-    )
+    row = _residual_rows(
+        solution.matrix.entries[None],
+        solution.stationary.mass[None],
+        states.as_array(),
+        np.array([solution.multiplier]),
+        np.array([solution.target_autocorrelation]),
+    )[0]
+    return LagrangeResiduals(*(float(c) for c in row))

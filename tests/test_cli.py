@@ -207,6 +207,13 @@ class TestForecastAndBacktest:
         assert len(tails) == 10
         assert sum(tails) == pytest.approx(0.2, abs=1e-12)
 
+    @pytest.mark.parametrize("method", ["maxent", "sampling", "naive"])
+    def test_forecast_rejects_window_below_two(self, tmp_path, method):
+        inp = write_states_csv(tmp_path, [1, -1, 0, 1, 1])
+        code = main(["forecast", "--input", str(inp), "--window", "0", "--method", method,
+                     "--horizon", "2", "--output", str(tmp_path / "f.csv")])
+        assert code == EXIT_DATA
+
     def test_backtest_table(self, tmp_path, rng):
         values = rng.choice([-1, 0, 1], size=400)
         inp = write_states_csv(tmp_path, values)

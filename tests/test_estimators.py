@@ -196,6 +196,13 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             sliding_window(seq([1, -1]), 5, "sampling", BINARY)
 
+    @pytest.mark.parametrize("method", ["maxent", "sampling", "naive"])
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_two_rejected(self, method, window):
+        # a window of 0 would report estimates at times -1 .. len - 1
+        with pytest.raises(ValueError, match="window must be >= 2"):
+            sliding_window(seq([1, -1, 1, 1, -1]), window, method, BINARY)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             sliding_window(seq([1, -1, 1]), 2, "bogus", BINARY)
@@ -250,16 +257,18 @@ class TestMaxEntEntries:
 
     def test_one_solve_per_distinct_target(self, monkeypatch):
         calls = []
+        batch = estimators._maxent_batch
 
-        def counting(states, target):
-            calls.append(target)
-            return maxent_nstate(states, target)
+        def counting(states, targets):
+            calls.append(list(targets))
+            return batch(states, targets)
 
-        monkeypatch.setattr(estimators, "maxent_nstate", counting)
+        monkeypatch.setattr(estimators, "_maxent_batch", counting)
         # 2/9 appears three times; 9/9 and 10/9 clamp to the same target
         entries = maxent_entries(TERNARY, np.array([2, 2, -1, 9, 2, 10]), 9)
         assert entries.shape == (6, 3, 3)
-        assert len(calls) == len(set(calls)) == 3
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == 3
         assert np.array_equal(entries[0], entries[4])
         assert np.array_equal(entries[3], entries[5])
 

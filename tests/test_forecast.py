@@ -227,7 +227,7 @@ class TestBatchedCore:
             total = (lower.sum(axis=(1, 2)) + upper.sum(axis=(1, 2))) / mass.sum(axis=1)
             np.testing.assert_allclose(total, 0.2, atol=1e-12)
 
-    # values within 2: maxent_nstate fails at clamped targets on some spaces with a 3
+    # values within 2: (-3, -2, 0, 2, 3) and (-3, -2, 1, 2, 3) raise ConvergenceError at the clamped upper end
     @settings(max_examples=40, deadline=None)
     @given(
         integer_spaces(bound=2),

@@ -1,13 +1,19 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
 from maxent_markov import (
     ConvergenceError,
     InfeasibleTargetError,
     StateSpace,
+    detailed_balance_residual,
     entropy_rate,
     feasible_range,
     lagrange_residuals,
@@ -16,11 +22,85 @@ from maxent_markov import (
     maxent_nstate,
     stationary_distribution,
 )
-from maxent_markov.solver import MaxEntSolution
+from maxent_markov.solver import RESIDUAL_TOL, TARGET_TOL, LagrangeResiduals, MaxEntSolution
 
 from conftest import detailed_balance_pair
 
 TERNARY = StateSpace.ternary()
+
+# every integer state space with 2..5 values in -3..3
+SMALL_INTEGER_SPACES = [
+    StateSpace(values) for k in range(2, 6) for values in itertools.combinations(range(-3, 4), k)
+]
+
+
+def scalar_oracle(states: StateSpace, target: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Multiplier, entries and stationary mass from a scalar bracket-and-brentq solve.
+
+    The multiplier is bracketed from +-50 (doubling outward) and matched by
+    ``brentq`` on the autocorrelation of the tilted chain, each evaluation
+    one dense ``eigh`` with a power-iteration fallback for a numerically
+    degenerate Perron vector.  It shares no code with the batched solver.
+    """
+    x = states.as_array()
+
+    def perron(m):
+        evals, evecs = np.linalg.eigh(m)
+        v = np.abs(evecs[:, -1])
+        if v.min() > 1e-12 * v.max():
+            return float(evals[-1]), v
+        v = np.full(m.shape[0], 1.0 / np.sqrt(m.shape[0]))
+        for _ in range(10_000):
+            v_next = m @ v
+            v_next = v_next / np.linalg.norm(v_next)
+            if np.abs(v_next - v).max() <= 1e-15:
+                v = v_next
+                break
+            v = v_next
+        return float(v @ m @ v), v
+
+    def chain(lam):
+        exponent = lam * np.outer(x, x)
+        m = np.exp(exponent - exponent.max())
+        rho, v = perron(m)
+        entries = m * v[None, :] / (rho * v[:, None])
+        entries = entries / entries.sum(axis=1, keepdims=True)
+        return entries, v**2 / (v**2).sum()
+
+    def excess(lam):
+        entries, p = chain(lam)
+        return float(np.einsum("i,j,i,ij->", x, x, p, entries)) - target
+
+    lo, hi = -50.0, 50.0
+    while excess(lo) > 0 or excess(hi) < 0:
+        lo, hi = 2 * lo, 2 * hi
+    lam = brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=10_000)
+    return lam, *chain(lam)
+
+
+def pairwise_residuals(solution: MaxEntSolution, states: StateSpace) -> LagrangeResiduals:
+    """The Lagrange residuals with the ratio conditions looped over state pairs."""
+    w = solution.matrix.entries
+    x = states.as_array()
+    lam = solution.multiplier
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+    diag = cross = 0.0
+    for i in range(states.size):
+        for j in range(i + 1, states.size):
+            d = logw[i, i] - logw[j, j] - lam * (x[i] ** 2 - x[j] ** 2)
+            c = logw[i, i] + logw[j, j] - logw[i, j] - logw[j, i] - lam * (x[i] - x[j]) ** 2
+            diag, cross = max(diag, abs(d)), max(cross, abs(c))
+    return LagrangeResiduals(
+        diagonal=float(diag),
+        cross=float(cross),
+        row_sums=float(np.abs(w.sum(axis=1) - 1.0).max()),
+        total_mass=float(abs(solution.stationary.mass.sum() - 1.0)),
+        detailed_balance=detailed_balance_residual(solution.stationary, solution.matrix),
+        autocorrelation=float(
+            abs(matrix_autocorrelation(solution.stationary, solution.matrix) - solution.target_autocorrelation)
+        ),
+    )
 
 # Frozen output of the independent direct-optimization oracle below
 # (24 SLSQP starts, ftol 1e-16) for three states and target 0.3 / -0.5.
@@ -287,3 +367,128 @@ class TestLagrangeResiduals:
         res = lagrange_residuals(sol, StateSpace.binary())
         assert math.isinf(res.cross)
 
+
+    def test_vectorized_conditions_equal_the_pair_loop(self):
+        solutions = [(maxent_nstate(TERNARY, a), TERNARY) for a in (-0.5, 0.0, 0.3, 1 - 1e-6)]
+        solutions += [(maxent_nstate(StateSpace((-2.0, 0.5, 1.0, 3.0)), 2.0), StateSpace((-2.0, 0.5, 1.0, 3.0)))]
+        solutions += [(maxent_2state(0.2), StateSpace.binary())]
+        for sol, states in solutions:
+            got, expected = lagrange_residuals(sol, states), pairwise_residuals(sol, states)
+            assert (got.diagonal, got.cross, got.row_sums, got.total_mass, got.detailed_balance) == (
+                expected.diagonal,
+                expected.cross,
+                expected.row_sums,
+                expected.total_mass,
+                expected.detailed_balance,
+            )
+            # one sum over the pair fluxes, where matrix_autocorrelation uses einsum
+            assert got.autocorrelation == pytest.approx(expected.autocorrelation, abs=4e-16 * 9)
+
+
+class TestClampedEnds:
+    """Targets ``1e-6`` inside either end of the feasible range (the estimators' clamp)."""
+
+    def test_small_integer_spaces_solve_or_raise_the_typed_error(self):
+        assert len(SMALL_INTEGER_SPACES) == 112
+        solved = 0
+        for states in SMALL_INTEGER_SPACES:
+            bounds = feasible_range(states)
+            ends = (bounds.lower + 1e-6, (bounds.lower + bounds.upper) / 2, bounds.upper - 1e-6)
+            failed = False
+            for target in ends:
+                try:
+                    sol = maxent_nstate(states, target)
+                except ConvergenceError:
+                    failed = True
+                    continue
+                assert np.all(np.isfinite(sol.matrix.entries)), (states, target)
+                assert sol.residual <= RESIDUAL_TOL, (states, target)
+            solved += not failed
+        assert solved >= 108  # 110 at the time of writing; plain power refinement gives 102
+
+
+class TestScalarOracle:
+    """The batched Newton solve against the scalar bracket-and-brentq solve.
+
+    Written tolerance: entries within 1e-13 at interior targets; within
+    1e-9 at targets 1e-6 inside either end, where both solves must hit the
+    target within ``TARGET_TOL``.
+    """
+
+    SPACES = [TERNARY, StateSpace((-2, -1, 0, 1, 2)), StateSpace((0, 1, 3)), StateSpace((-2, 0, 1)), StateSpace((-1, 2))]
+    # not (-2..2): near its upper end the top two eigenvalues of the tilted
+    # matrix are 5e-13 apart, so the split of mass between -2 and 2 is
+    # ill-conditioned (both solves hit the target; the state-0 rows differ by 6e-4)
+    END_SPACES = [TERNARY, StateSpace((0, 1, 3)), StateSpace((-2, 0, 1)), StateSpace((-1, 2)), StateSpace((-1, 0, 1, 2))]
+
+    @pytest.mark.parametrize("states", SPACES, ids=str)
+    def test_interior_targets(self, states):
+        bounds = feasible_range(states)
+        for target in np.linspace(bounds.lower, bounds.upper, 23)[1:-1]:
+            lam, entries, _ = scalar_oracle(states, float(target))
+            sol = maxent_nstate(states, float(target))
+            assert np.abs(sol.matrix.entries - entries).max() <= 1e-13
+            assert sol.multiplier == pytest.approx(lam, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("states", END_SPACES, ids=str)
+    def test_targets_next_to_either_end(self, states):
+        bounds = feasible_range(states)
+        x = states.as_array()
+        for target in (bounds.lower + 1e-6, bounds.upper - 1e-6, bounds.lower + 1e-7, bounds.upper - 1e-7):
+            _, entries, p = scalar_oracle(states, target)
+            sol = maxent_nstate(states, target)
+            assert np.abs(sol.matrix.entries - entries).max() <= 1e-9
+            assert abs(np.einsum("i,j,i,ij->", x, x, p, entries) - target) <= TARGET_TOL
+            assert abs(matrix_autocorrelation(sol.stationary, sol.matrix) - target) <= TARGET_TOL
+
+
+@st.composite
+def spaces_and_targets(draw):
+    """Strictly increasing spaces of 2..6 values on a tenth grid in [-3, 3], and targets.
+
+    The targets are sorted: the two ends at ``1e-6`` inside the feasible
+    range and interior points away from both ends.
+    """
+    ticks = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=6, unique=True))
+    states = StateSpace(tuple(t / 10 for t in sorted(ticks)))
+    bounds = feasible_range(states)
+    fractions = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=5))
+    interior = [bounds.lower + f * (bounds.upper - bounds.lower) for f in fractions]
+    return states, bounds.lower + 1e-6, sorted(interior), bounds.upper - 1e-6
+
+
+def assert_is_maxent_chain(sol, states, target):
+    entries, p = sol.matrix.entries, sol.stationary.mass
+    np.testing.assert_allclose(entries.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
+    assert detailed_balance_residual(sol.stationary, sol.matrix) <= 1e-12
+    assert sol.residual <= 1e-8
+    assert lagrange_residuals(sol, states).max_violation <= 1e-8
+    assert abs(matrix_autocorrelation(sol.stationary, sol.matrix) - target) <= max(TARGET_TOL, 1e-9 * abs(target))
+
+
+class TestSolverProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(spaces_and_targets())
+    def test_solutions_are_reversible_maxent_chains(self, case):
+        states, low_end, interior, high_end = case
+        multipliers = []
+        for target in interior:  # away from the ends every target solves
+            sol = maxent_nstate(states, target)
+            assert_is_maxent_chain(sol, states, target)
+            multipliers.append(sol.multiplier)
+        # A(lam) is nondecreasing, so sorted targets have sorted multipliers
+        assert all(a <= b for a, b in zip(multipliers, multipliers[1:]))
+        for target in (low_end, high_end):  # at the ends: a solution, or the typed error
+            try:
+                sol = maxent_nstate(states, target)
+            except ConvergenceError:
+                continue
+            assert_is_maxent_chain(sol, states, target)
+            assert (sol.multiplier <= multipliers[0]) if target == low_end else (sol.multiplier >= multipliers[-1])
+
+
+def test_solver_import_leaves_scipy_optimize_out():
+    code = "import sys, maxent_markov.solver; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
