@@ -14,11 +14,9 @@ treatment by Monte-Carlo simulation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .chains import (
     Distribution,
@@ -92,6 +90,10 @@ class MuCurve:
 
 def _folded_mean(mu_abs: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Vectorized folded-normal mean ``E|N(mu, sigma^2)|``."""
+    # imported here: only the 2-state analytic path needs scipy, and at
+    # module level it would double the start-up time of every CLI command
+    from scipy.special import ndtr
+
     return sigma * np.sqrt(2.0 / np.pi) * np.exp(-(mu_abs**2) / (2.0 * sigma**2)) + mu_abs * (
         1.0 - 2.0 * ndtr(-mu_abs / sigma)
     )
@@ -356,6 +358,9 @@ def mu_curve(
         for i in range(0, samples, batch_size)
     ]
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_three_state_batch, batches))
     else:

@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads its random module lazily on first attribute access; import it
+# here so that cost stays in start-up instead of the first seeded draw
+import numpy.random  # noqa: F401
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10

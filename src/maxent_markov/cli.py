@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -44,6 +45,9 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 WORKERS_ENV = "MAXENT_MARKOV_WORKERS"
+
+_M_TOP_PAD = -2  # mallopt parameter number in glibc's <malloc.h>
+_HEAP_TOP_PAD = 4 << 20
 
 
 class _UsageError(Exception):
@@ -388,7 +392,22 @@ def run(argv) -> int:
     return EXIT_OK
 
 
+def _pad_heap_top() -> None:
+    """Keep up to ``_HEAP_TOP_PAD`` bytes of freed heap mapped for the rest of the run.
+
+    glibc returns free memory at the top of the heap to the kernel once it
+    exceeds a small threshold, so loops that allocate and free ~1 MB of
+    arrays per pass (the 3-state ``mucurve`` sweep) fault the same pages
+    back in on every pass.  A no-op where the C library has no ``mallopt``.
+    """
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
 def main(argv=None) -> int:
+    _pad_heap_top()
     try:
         code = run(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse --version/--help

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import StateSequence, StateSpace, StochasticMatrix
-from .solver import MaxEntSolution, _maxent_batch, feasible_range, maxent_2state, maxent_nstate
+from .solver import MaxEntSolution, _binary_entries, _maxent_batch, feasible_range, maxent_2state, maxent_nstate
 
 CLAMP_MARGIN = 1e-6
 
@@ -122,8 +122,7 @@ def maxent_entries(states: StateSpace, pair_sums, n_pairs) -> np.ndarray:
     )
     distinct, inverse = np.unique(targets, return_inverse=True)
     if states.values == (-1.0, 1.0):
-        stay = (1.0 + distinct) / 2.0
-        solved = np.stack([stay, 1.0 - stay, 1.0 - stay, stay], axis=-1)
+        solved = _binary_entries(distinct)
     else:
         solved = _maxent_batch(states, distinct)[0]
     return solved.reshape(-1, states.size, states.size)[inverse]

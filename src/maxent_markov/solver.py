@@ -204,6 +204,15 @@ def _solve_multipliers(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
     return out_lam, out_entries, out_mass
 
 
+def _binary_entries(targets) -> np.ndarray:
+    """Closed-form maximum-entropy entries for two +-1 states, shape (..., 2, 2).
+
+    Each state stays with probability ``(1 + target) / 2``.
+    """
+    stay = (1.0 + np.asarray(targets, dtype=float)) / 2.0
+    return np.stack([stay, 1.0 - stay, 1.0 - stay, stay], axis=-1).reshape(*stay.shape, 2, 2)
+
+
 def maxent_2state(target: float) -> MaxEntSolution:
     """Closed-form maximum-entropy chain for two +-1 states.
 
@@ -215,9 +224,7 @@ def maxent_2state(target: float) -> MaxEntSolution:
             f"autocorrelation {target} is outside the open interval (-1, 1)"
         )
     states = StateSpace.binary()
-    stay = (1.0 + target) / 2.0
-    entries = np.array([[stay, 1.0 - stay], [1.0 - stay, stay]])
-    matrix = StochasticMatrix(entries, states)
+    matrix = StochasticMatrix(_binary_entries(target), states)
     stationary = Distribution(np.array([0.5, 0.5]))
     multiplier = float(np.arctanh(target))
     solution = MaxEntSolution(matrix, stationary, multiplier, 0.0, float(target))

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -164,6 +166,22 @@ class TestSweeps:
                      "--cap", "20", "--output", str(out)]) == EXIT_OK
         metadata, _, _ = read_artifact(out)
         assert metadata["workers"] == 2
+
+
+def test_cli_start_up_loads_neither_scipy_nor_multiprocessing(tmp_path):
+    # scipy is needed only on the 2-state analytic path, so it loads on the
+    # first such call; numpy.random must load with the package, not mid-run
+    code = f"""
+import sys
+import maxent_markov.cli as cli
+assert "scipy" not in sys.modules, "scipy imported at start-up"
+assert "multiprocessing" not in sys.modules, "multiprocessing imported at start-up"
+assert "numpy.random" in sys.modules, "numpy.random not imported at start-up"
+assert cli.main(["ncmap", "--grid", "4", "--output", {str(tmp_path / "nc.csv")!r}]) == 0
+assert "scipy.special" in sys.modules, "ncmap ran without scipy.special"
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 class TestSimulateAndTrack:

@@ -146,6 +146,20 @@ class TestMaxEntEstimate:
         assert sol.target_autocorrelation == pytest.approx(expected)
 
 
+@st.composite
+def windowed_series(draw):
+    """A series on a random integer state space (K <= 4, values in -2..2) and a window.
+
+    Integer values make every window's pair-sum exact, so the sliding
+    estimate and the estimate from the window alone see the same target.
+    """
+    values = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=4, unique=True))
+    states = StateSpace(tuple(sorted(values)))
+    indices = draw(st.lists(st.integers(0, states.size - 1), min_size=2, max_size=30))
+    window = draw(st.integers(2, len(indices)))
+    return states, StateSequence(np.array(indices), states.size), window
+
+
 class TestSlidingWindow:
     def test_naive_is_constant(self):
         series = seq([1, -1, 1, 1, -1, -1, 1])
@@ -212,6 +226,21 @@ class TestSlidingWindow:
         est = sliding_window(series, 2, "maxent", BINARY)
         assert len(est.entries) == len(est.times)
         assert np.abs(est.entries.sum(axis=-1) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(windowed_series(), st.sampled_from(["maxent", "sampling", "naive"]))
+    def test_every_window_equals_its_own_estimate(self, case, method):
+        states, series, window = case
+        est = sliding_window(series, window, method, states)
+        for pos, t in enumerate(est.times.tolist()):
+            piece = series.slice(t - window + 1, t + 1)
+            if method == "maxent":
+                expected = maxent_estimate(piece, states).matrix.entries
+            elif method == "sampling":
+                expected = frequency_estimate(piece, states).entries
+            else:
+                expected = np.full((states.size, states.size), 1.0 / states.size)
+            assert np.array_equal(est.entries[pos], expected)
 
 
 def exact_entries(states, target):
