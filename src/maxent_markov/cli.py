@@ -398,7 +398,7 @@ def _pad_heap_top() -> None:
     glibc returns free memory at the top of the heap to the kernel once it
     exceeds a small threshold, so loops that allocate and free ~1 MB of
     arrays per pass (the 3-state ``mucurve`` sweep) fault the same pages
-    back in on every pass.  A no-op where the C library has no ``mallopt``.
+    back in on every pass.  A no-op off Linux or without ``mallopt``.
     """
     if sys.platform.startswith("linux"):
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

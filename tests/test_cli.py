@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -182,6 +183,20 @@ assert "scipy.special" in sys.modules, "ncmap ran without scipy.special"
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_blas_worker_threads_do_not_spin_after_import():
+    # an OpenBLAS worker busy-waits ~0.1 s after numpy's import unless its
+    # thread timeout is short; that spin would land in the first command
+    code = """
+import time
+import maxent_markov.cli
+time.sleep(0.3)
+print(time.process_time() - time.thread_time())
+"""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert float(out.stdout) < 0.05
 
 
 class TestSimulateAndTrack:
