@@ -9,11 +9,11 @@ forecasts of discretized return series.
 
 import os
 
-# OpenBLAS worker threads busy-wait for ~0.1 s after they start (at numpy's
-# import) and after every threaded call.  The matrices here are tiny, so the
-# spin only burns a second core, and inside a short CLI run, where start-up
-# is now shorter than the spin.  Unless the user set it, shorten it to the
-# minimum; this reaches OpenBLAS only when numpy is not imported yet.
+# OpenBLAS worker threads busy-wait ~0.1 s after they start (at numpy's
+# import) and after every threaded call.  The matrices here are too small to
+# gain from that, and in a short CLI run the spin burns a second core during
+# the first command.  Unless the user set it, shorten it to the minimum; it
+# reaches OpenBLAS only if numpy is not imported yet.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .accuracy import (
