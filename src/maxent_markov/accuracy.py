@@ -27,7 +27,7 @@ from .chains import (
     simulate_batch,
     stationary_distribution,
 )
-from .estimators import maxent_entries, transition_frequencies
+from .estimators import maxent_entries, transition_counts, transition_frequencies
 from .solver import maxent_2state
 
 DEFAULT_CAP = 500
@@ -174,6 +174,20 @@ def accuracy_gain(w_true: StochasticMatrix, n: int) -> np.ndarray:
     return sampling_error_stats(w_true, n).means - maxent_error_stats(w_true, n).means
 
 
+def _largest_favorable_size(samp_unit: np.ndarray, bias_abs: np.ndarray, cap: int) -> np.ndarray:
+    """Largest ``n`` in ``1..cap`` with nonnegative gain, elementwise (0 if none).
+
+    ``samp_unit`` is the sampling error mean times ``sqrt(n)`` and
+    ``bias_abs`` the maxent bias magnitude, which does not depend on ``n``.
+    """
+    best = np.zeros_like(samp_unit)
+    for n in range(1, cap + 1):
+        sigma = 1.0 / (2.0 * math.sqrt(n))
+        gain = samp_unit / math.sqrt(n) - _folded_mean(bias_abs, np.float64(sigma))
+        best = np.where(gain >= 0, float(n), best)
+    return best
+
+
 def critical_sample_size(w_true: StochasticMatrix, cap: int = DEFAULT_CAP) -> CriticalSampleSize:
     """Largest ``n <= cap`` with nonnegative gain, per coefficient.
 
@@ -190,12 +204,7 @@ def critical_sample_size(w_true: StochasticMatrix, cap: int = DEFAULT_CAP) -> Cr
     bias_abs = np.abs(me.bias)
     w = w_true.entries
     samp_unit = np.sqrt(2.0 * w * (1.0 - w) / (np.pi * p[:, None]))  # mean * sqrt(n)
-
-    best = np.zeros_like(w)
-    for n in range(1, cap + 1):
-        sigma = 1.0 / (2.0 * math.sqrt(n))
-        gain = samp_unit / math.sqrt(n) - _folded_mean(bias_abs, np.float64(sigma))
-        best = np.where(gain >= 0, float(n), best)
+    best = _largest_favorable_size(samp_unit, bias_abs, cap)
     weighted = float((p[:, None] * best).sum() / w_true.size)
     return CriticalSampleSize(best, weighted, cap)
 
@@ -235,17 +244,9 @@ def critical_size_map(resolution: int = 100, cap: int = DEFAULT_CAP) -> Critical
     bias_up = np.abs((1.0 + acf) / 2.0 - d)
     samp_down = np.sqrt(2.0 * a * (1.0 - a) / (np.pi * p_down))
     samp_up = np.sqrt(2.0 * d * (1.0 - d) / (np.pi * p_up))
-
-    nc_down = np.zeros_like(a)
-    nc_up = np.zeros_like(a)
-    for n in range(1, cap + 1):
-        sigma = 1.0 / (2.0 * math.sqrt(n))
-        root_n = math.sqrt(n)
-        gd = samp_down / root_n - _folded_mean(bias_down, np.float64(sigma))
-        gu = samp_up / root_n - _folded_mean(bias_up, np.float64(sigma))
-        nc_down = np.where(gd >= 0, float(n), nc_down)
-        nc_up = np.where(gu >= 0, float(n), nc_up)
-
+    nc_down, nc_up = _largest_favorable_size(
+        np.stack([samp_down, samp_up]), np.stack([bias_down, bias_up]), cap
+    )
     weighted = p_down * nc_down + p_up * nc_up  # row values repeat across the row
     return CriticalSizeMap(a, d, weighted, nc_down, nc_up, cap)
 
@@ -268,11 +269,7 @@ def _empirical_weighted_gain(
     xs = x[paths]
     pair_sums = (xs[:, :-1] * xs[:, 1:]).sum(axis=1).astype(np.int64)
     err_me = np.abs(lattice[pair_sums + n - 1] - entries).mean(axis=0)
-
-    codes = paths[:, :-1] * k + paths[:, 1:]
-    offsets = (np.arange(replicates) * k * k)[:, None]
-    counts = np.bincount((codes + offsets).ravel(), minlength=replicates * k * k)
-    freq = transition_frequencies(counts.reshape(replicates, k, k).astype(float))
+    freq = transition_frequencies(transition_counts(paths, k))
     err_samp = np.abs(freq - entries).mean(axis=0)
     return float((p[:, None] * (err_samp - err_me)).sum() / k)
 

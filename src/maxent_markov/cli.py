@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,16 +25,9 @@ import numpy as np
 from . import __version__
 from .accuracy import critical_size_map, mu_curve
 from .chains import ReducibleChainError, StateSpace, StochasticMatrix
-from .estimators import _window_entries, frequency_estimate, maxent_estimate, sample_autocorrelation
+from .estimators import METHODS, _window_entries, frequency_estimate, maxent_estimate, sample_autocorrelation
 from .forecast import backtest, step_distribution, symmetrized_centiles
-from .ingest import (
-    PriceDataError,
-    discretize,
-    load_prices,
-    load_states,
-    resample,
-    to_returns,
-)
+from .ingest import PriceDataError, discretize, load_prices, load_states, resample, to_returns
 from .nonstationary import generate_nonstationary, tracking_experiment
 from .solver import ConvergenceError, InfeasibleTargetError
 
@@ -43,8 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-WORKERS_ENV = "MAXENT_MARKOV_WORKERS"
 
 _M_TOP_PAD = -2  # mallopt parameter number in glibc's <malloc.h>
 _HEAP_TOP_PAD = 4 << 20
@@ -81,7 +71,7 @@ def _build_parser() -> _Parser:
         description="Output columns: from_state,to_state,probability",
     )
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("maxent", "sampling", "naive"), default="maxent")
+    p.add_argument("--method", choices=METHODS, default="maxent")
     p.add_argument("--k", type=int, choices=(2, 3), help="force the state-space size")
     common(p)
 
@@ -107,8 +97,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stratify", action="store_true")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"default from ${WORKERS_ENV} (1 if unset)")
+    p.add_argument("--workers", type=int, default=1)
     common(p)
 
     p = sub.add_parser(
@@ -139,7 +128,7 @@ def _build_parser() -> _Parser:
         description="Output columns: kind,k,value (kind is mass or tail_centile)",
     )
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("maxent", "sampling", "naive"), default="maxent")
+    p.add_argument("--method", choices=METHODS, default="maxent")
     p.add_argument("--k", type=int, choices=(2, 3))
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--horizon", type=int, default=8)
@@ -171,30 +160,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_artifact(args, metadata: dict, columns: list[str], rows: list[list]) -> None:
-    """Emit a fully built table; nothing is written until the data exists."""
+def _write_artifact(args, metadata: dict, table: dict) -> None:
+    """Emit a fully built table; nothing is written until the data exists.
+
+    ``table`` maps each column name to its column, a numpy array or a list.
+    Each column becomes Python scalars once; a CSV cell is the ``str`` of its
+    scalar, which for a float is its shortest round-trip ``repr``.
+    """
     metadata = {"artifact_version": __version__, **metadata}
-    if getattr(args, "format", "csv") == "json":
-        payload = json.dumps(
-            {"metadata": metadata, "columns": columns, "rows": rows}, indent=2
-        )
-        text = payload + "\n"
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    if args.format == "json":
+        doc = {"metadata": metadata, "columns": list(table), "rows": list(zip(*columns))}
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        lines = ["# " + json.dumps(metadata), ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+        cells = [map(str, c) for c in columns]
+        lines = ["# " + json.dumps(metadata), ",".join(table), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _config(args, **extra) -> dict:
@@ -204,18 +189,13 @@ def _config(args, **extra) -> dict:
     return {"command": args.command, **resolved}
 
 
-def _load_series(args):
-    series, states = load_states(args.input, n_states=getattr(args, "k", None))
-    return series, states
-
-
-def _cmd_estimate(args) -> None:
-    series, states = _load_series(args)
-    meta = _config(args, k=states.size, states=list(states.values))
+def _cmd_estimate(args) -> tuple[dict, dict]:
+    series, states = load_states(args.input, n_states=args.k)
+    extra = {"k": states.size, "states": list(states.values)}
     if args.method == "maxent":
         solution = maxent_estimate(series, states)
         entries = solution.matrix.entries
-        meta.update(
+        extra.update(
             multiplier=solution.multiplier,
             residual=solution.residual,
             target_autocorrelation=solution.target_autocorrelation,
@@ -224,137 +204,99 @@ def _cmd_estimate(args) -> None:
     elif args.method == "sampling":
         matrix = frequency_estimate(series, states)
         entries = matrix.entries
-        meta.update(filled_rows=list(matrix.filled_rows))
+        extra.update(filled_rows=list(matrix.filled_rows))
     else:
         entries = np.full((states.size, states.size), 1.0 / states.size)
-    rows = [
-        [states.values[i], states.values[j], float(entries[i, j])]
-        for i in range(states.size)
-        for j in range(states.size)
-    ]
-    _write_artifact(args, meta, ["from_state", "to_state", "probability"], rows)
+    values = states.as_array()
+    return extra, {
+        "from_state": np.repeat(values, states.size),
+        "to_state": np.tile(values, states.size),
+        "probability": entries.ravel(),
+    }
 
 
-def _cmd_ncmap(args) -> None:
+def _cmd_ncmap(args) -> tuple[dict, dict]:
     grid_map = critical_size_map(resolution=args.grid, cap=args.cap)
-    rows = []
-    for i in range(args.grid):
-        for j in range(args.grid):
-            rows.append(
-                [
-                    float(grid_map.stay_down[i, j]),
-                    float(grid_map.stay_up[i, j]),
-                    float(grid_map.weighted[i, j]),
-                    float(grid_map.nc_down_row[i, j]),
-                    float(grid_map.nc_up_row[i, j]),
-                ]
-            )
-    _write_artifact(
-        args,
-        _config(args),
-        ["stay_down", "stay_up", "nc_weighted", "nc_down_row", "nc_up_row"],
-        rows,
-    )
+    return {}, {
+        "stay_down": grid_map.stay_down.ravel(),
+        "stay_up": grid_map.stay_up.ravel(),
+        "nc_weighted": grid_map.weighted.ravel(),
+        "nc_down_row": grid_map.nc_down_row.ravel(),
+        "nc_up_row": grid_map.nc_up_row.ravel(),
+    }
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _cmd_mucurve(args) -> None:
-    workers = args.workers if args.workers is not None else _default_workers()
+def _cmd_mucurve(args) -> tuple[dict, dict]:
     curves = mu_curve(
-        args.k,
-        args.n,
-        grid=args.grid,
-        samples=args.samples,
-        replicates=args.replicates,
-        cap=args.cap,
-        seed=args.seed,
-        stratify=args.stratify,
-        workers=workers,
+        args.k, args.n, grid=args.grid, samples=args.samples, replicates=args.replicates,
+        cap=args.cap, seed=args.seed, stratify=args.stratify, workers=args.workers,
     )
-    rows = []
-    for curve in curves:
-        stratum = 0 if curve.stratum is None else curve.stratum
-        for n, frac in zip(curve.sample_sizes, curve.fractions):
-            rows.append([stratum, int(n), float(frac)])
-    _write_artifact(args, _config(args, workers=workers), ["stratum", "n", "mu"], rows)
+    return {}, {
+        "stratum": [0 if c.stratum is None else c.stratum for c in curves for _ in c.sample_sizes],
+        "n": np.concatenate([c.sample_sizes for c in curves]),
+        "mu": np.concatenate([c.fractions for c in curves]),
+    }
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args) -> tuple[dict, dict]:
     series = generate_nonstationary(args.period, args.length, args.seed)
     values = series.values(StateSpace.binary())
-    rows = [[t, int(v)] for t, v in enumerate(values)]
-    _write_artifact(args, _config(args), ["t", "state"], rows)
+    return {}, {"t": np.arange(values.size), "state": values.astype(int)}
 
 
-def _cmd_track(args) -> None:
+def _cmd_track(args) -> tuple[dict, dict]:
     seeds = [args.seed + i for i in range(args.samples)]
     report = tracking_experiment(args.period, args.length, args.window, seeds)
-    rows = [
-        [int(t), float(tr), float(report.estimates["maxent"][i]), float(report.estimates["sampling"][i])]
-        for i, (t, tr) in enumerate(zip(report.times, report.true_coefficient))
-    ]
-    meta = _config(
-        args,
-        seeds=seeds,
-        mae_maxent=report.mae["maxent"],
-        mae_sampling=report.mae["sampling"],
-    )
-    _write_artifact(args, meta, ["t", "true_stay_down", "maxent", "sampling"], rows)
+    extra = {"seeds": seeds, "mae_maxent": report.mae["maxent"], "mae_sampling": report.mae["sampling"]}
+    return extra, {
+        "t": report.times,
+        "true_stay_down": report.true_coefficient,
+        "maxent": report.estimates["maxent"],
+        "sampling": report.estimates["sampling"],
+    }
 
 
-def _cmd_forecast(args) -> None:
-    series, states = _load_series(args)
+def _cmd_forecast(args) -> tuple[dict, dict]:
+    series, states = load_states(args.input, n_states=args.k)
     if len(series) < args.window:
         raise PriceDataError("series shorter than the requested window")
     entries = _window_entries(series, states, args.method, [len(series) - 1], args.window)[0]
-    matrix = StochasticMatrix(entries, states)
     origin = int(series.indices[-1])
-    q = step_distribution(matrix, origin, args.horizon)
-    pi = symmetrized_centiles(q)
-    rows = [["mass", int(k), float(p)] for k, p in zip(q.support, q.probabilities)]
-    rows += [["tail_centile", k + 1, float(v)] for k, v in enumerate(pi.pi)]
-    meta = _config(args, origin_state=origin, k=states.size)
-    _write_artifact(args, meta, ["kind", "k", "value"], rows)
+    q = step_distribution(StochasticMatrix(entries, states), origin, args.horizon)
+    pi = symmetrized_centiles(q).pi
+    return {"origin_state": origin, "k": states.size}, {
+        "kind": ["mass"] * q.support.size + ["tail_centile"] * pi.size,
+        "k": np.concatenate([q.support, np.arange(1, pi.size + 1)]),
+        "value": np.concatenate([q.probabilities, pi]),
+    }
 
 
-def _cmd_backtest(args) -> None:
-    series, states = _load_series(args)
+def _cmd_backtest(args) -> tuple[dict, dict]:
+    series, states = load_states(args.input, n_states=args.k)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    report = backtest(
-        series,
-        states,
-        args.n,
-        horizon=args.horizon,
-        methods=methods,
-        stride=args.stride,
-    )
-    rows = []
-    for si, n in enumerate(report.sample_sizes):
-        for m in methods:
-            rows.append([int(n), m, float(report.delta[m][si]), int(report.origin_counts[si])])
-    _write_artifact(
-        args, _config(args, k=states.size), ["n", "method", "delta", "origins"], rows
-    )
+    report = backtest(series, states, args.n, horizon=args.horizon, methods=methods, stride=args.stride)
+    return {"k": states.size}, {
+        "n": np.repeat(report.sample_sizes, len(methods)),
+        "method": list(methods) * report.sample_sizes.size,
+        "delta": np.stack([report.delta[m] for m in methods], axis=1).ravel(),
+        "origins": np.repeat(report.origin_counts, len(methods)),
+    }
 
 
-def _cmd_discretize(args) -> None:
+def _cmd_discretize(args) -> tuple[dict, dict]:
     prices = load_prices(args.input)
     if args.interval:
         prices = resample(prices, args.interval)
     returns = to_returns(prices)
     series = discretize(returns, threshold=args.threshold)
-    values = series.values(StateSpace.ternary())
-    rows = [[repr(float(ts)), int(v)] for ts, v in zip(returns.timestamps, values)]
-    _write_artifact(args, _config(args), ["timestamp", "state"], rows)
+    return {}, {
+        # strings, so JSON keeps the timestamps exactly as the CSV writes them
+        "timestamp": list(map(repr, returns.timestamps.tolist())),
+        "state": series.values(StateSpace.ternary()).astype(int),
+    }
 
 
+# each subcommand maps its arguments to (extra metadata, table of columns)
 _COMMANDS = {
     "estimate": _cmd_estimate,
     "ncmap": _cmd_ncmap,
@@ -376,17 +318,12 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        _COMMANDS[args.command](args)
+        extra, table = _COMMANDS[args.command](args)
+        _write_artifact(args, _config(args, **extra), table)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (
-        PriceDataError,
-        ReducibleChainError,
-        InfeasibleTargetError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (PriceDataError, ReducibleChainError, InfeasibleTargetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -8,6 +8,7 @@ series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,12 @@ def sample_autocorrelation(
     return SampleAutocorrelation(float((x[:-1] * x[1:]).mean()), len(series))
 
 
-def transition_counts(series: StateSequence) -> np.ndarray:
-    """Raw count of observed i -> j transitions, shape (K, K)."""
-    k = series.n_states
-    idx = series.indices
-    codes = idx[:-1] * k + idx[1:]
-    return np.bincount(codes, minlength=k * k).reshape(k, k).astype(float)
+def transition_counts(paths: np.ndarray, k: int) -> np.ndarray:
+    """Counts of i -> j transitions along each index path ``(..., n)``, shape ``(..., K, K)``."""
+    lead = paths.shape[:-1]
+    m = math.prod(lead)
+    codes = paths[..., :-1] * k + paths[..., 1:] + (np.arange(m) * (k * k)).reshape(lead + (1,))
+    return np.bincount(codes.ravel(), minlength=m * k * k).reshape(lead + (k, k)).astype(float)
 
 
 def transition_frequencies(counts: np.ndarray) -> np.ndarray:
@@ -85,7 +86,7 @@ def frequency_estimate(series: StateSequence, states: StateSpace | None = None) 
         states = StateSpace.default(series.n_states)
     if states.size != series.n_states:
         raise ValueError("state space size does not match the sequence")
-    counts = transition_counts(series)
+    counts = transition_counts(series.indices, series.n_states)
     filled = tuple(int(i) for i in np.flatnonzero(counts.sum(axis=1) == 0))
     return StochasticMatrix(transition_frequencies(counts), states, filled_rows=filled)
 
@@ -135,6 +136,8 @@ def _window_entries(series: StateSequence, states: StateSpace, method: str, ends
     ``t - windows + 1 .. t``; ``windows`` is one length or one per end.
     Counts and pair sums are differences of cumulative sums over the
     series, and all maxent windows share one ``maxent_entries`` batch.
+    The windows overlap, so prefix sums cost O(T K^2) where counting each
+    window's path with ``transition_counts`` would cost O(T w).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

@@ -22,10 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .chains import StateSequence, StateSpace, StochasticMatrix, _stochastic_rows
-from .estimators import _window_entries
+from .estimators import METHODS, _window_entries
 
 N_TAIL_BINS = 10
-BACKTEST_METHODS = ("maxent", "sampling", "naive")
 _DUST = 1e-18
 
 
@@ -287,7 +286,7 @@ def backtest(
     states: StateSpace,
     sample_sizes: Sequence[int],
     horizon: int = 8,
-    methods: Sequence[str] = BACKTEST_METHODS,
+    methods: Sequence[str] = METHODS,
     stride: int = 1,
 ) -> BacktestReport:
     """Roll forecast origins through a series and score each estimator.
@@ -308,7 +307,7 @@ def backtest(
     if not methods:
         raise ValueError("methods must not be empty")
     for m in methods:
-        if m not in BACKTEST_METHODS:
+        if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     if len(set(methods)) < len(methods):
         raise ValueError(f"methods must not repeat, got {methods}")

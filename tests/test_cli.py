@@ -160,14 +160,6 @@ class TestSweeps:
         assert len(rows) == 1
         assert abs(float(rows[0][2]) - 0.15) <= 0.05
 
-    def test_workers_env_variable_is_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MAXENT_MARKOV_WORKERS", "2")
-        out = tmp_path / "mu.csv"
-        assert main(["mucurve", "--k", "2", "--n", "5", "--grid", "10",
-                     "--cap", "20", "--output", str(out)]) == EXIT_OK
-        metadata, _, _ = read_artifact(out)
-        assert metadata["workers"] == 2
-
 
 def test_cli_start_up_loads_neither_scipy_nor_multiprocessing(tmp_path):
     # scipy is needed only on the 2-state analytic path, so it loads on the
@@ -328,3 +320,41 @@ class TestExitCodes:
         assert main(["estimate", "--input", str(inp)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("# {")
+
+
+ONE_TABLE_ARGV = {
+    "estimate": ["estimate", "--input", "states.csv", "--method", "sampling"],
+    "ncmap": ["ncmap", "--grid", "5", "--cap", "30"],
+    "mucurve": ["mucurve", "--k", "3", "--n", "5,8", "--samples", "8", "--replicates", "10",
+                "--stratify"],
+    "simulate": ["simulate", "--length", "60", "--period", "20"],
+    "track": ["track", "--length", "80", "--period", "40", "--window", "20"],
+    "forecast": ["forecast", "--input", "states.csv", "--window", "30", "--horizon", "3"],
+    "backtest": ["backtest", "--input", "states.csv", "--n", "10,20", "--horizon", "3",
+                 "--stride", "5"],
+    "discretize": ["discretize", "--input", "prices.csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(ONE_TABLE_ARGV))
+def test_csv_and_json_carry_one_table(tmp_path, rng, command):
+    write_states_csv(tmp_path, rng.choice([-1, 0, 1], size=80))
+    prices = 100.0 * np.cumprod(1.0 + 0.001 * rng.choice([-1, 0, 1], size=40))
+    (tmp_path / "prices.csv").write_text(
+        "timestamp,price\n" + "".join(f"{60.5 * t!r},{p!r}\n" for t, p in enumerate(prices.tolist()))
+    )
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in ONE_TABLE_ARGV[command]]
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main([*argv, "--output", str(csv_out)]) == EXIT_OK
+    assert main([*argv, "--format", "json", "--output", str(json_out)]) == EXIT_OK
+
+    doc = json.loads(json_out.read_text())
+    lines = csv_out.read_text().splitlines()
+    assert list(json.loads(lines[0][2:]).items()) == list(doc["metadata"].items())
+    assert lines[1].split(",") == doc["columns"]
+    assert doc["rows"]
+    assert lines[2:] == [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in doc["rows"]
+    ]
+    if command == "discretize":
+        assert all(isinstance(row[0], str) for row in doc["rows"])

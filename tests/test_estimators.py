@@ -106,6 +106,15 @@ class TestFrequencyEstimate:
         with pytest.raises(ValueError):
             frequency_estimate(StateSequence([0, 1, 2, 1], 3), BINARY)
 
+    def test_stacked_counts_equal_per_path_counts(self, rng):
+        paths = rng.integers(0, 4, size=(3, 5, 20))
+        counts = estimators.transition_counts(paths, 4)
+        assert counts.shape == (3, 5, 4, 4)
+        for i, j in np.ndindex(3, 5):
+            single = np.zeros((4, 4))
+            np.add.at(single, (paths[i, j, :-1], paths[i, j, 1:]), 1.0)
+            np.testing.assert_array_equal(counts[i, j], single)
+
 
 class TestMaxEntEstimate:
     def test_exact_fifth_autocorrelation(self):
