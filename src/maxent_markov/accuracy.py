@@ -115,10 +115,10 @@ def folded_normal_stats(mu: float, variance: float) -> FoldedNormalStats:
 
 
 def _require_two_states(w: StochasticMatrix, what: str) -> None:
-    if w.size != 2:
+    if w.states != StateSpace.binary():
         raise ValueError(
-            f"{what} is analytic for 2-state chains only; "
-            "use the Monte-Carlo sweep for larger state spaces"
+            f"{what} is analytic for 2-state chains on the states (-1, +1) only; "
+            "use the Monte-Carlo sweep for other state spaces"
         )
 
 
@@ -328,6 +328,8 @@ def mu_curve(
         raise ValueError("sample sizes must be positive integers")
     if cap < sizes.max():
         raise ValueError("cap must be at least the largest requested sample size")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
     if n_states == 2:
         if stratify:

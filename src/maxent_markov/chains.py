@@ -19,9 +19,6 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 ROW_SUM_TOL = 1e-12
-STATIONARY_TOL = 1e-10
-_POWER_ITER_TOL = 1e-12
-_POWER_ITER_MAX = 1_000_000
 
 
 class ReducibleChainError(ValueError):
@@ -36,10 +33,11 @@ def _stochastic_rows(entries, shape: tuple[int, ...]) -> np.ndarray:
     entries = np.asarray(entries, dtype=float)
     if entries.shape != shape:
         raise ValueError(f"expected shape {shape} to match the state space, got {entries.shape}")
-    if np.any(entries < -ROW_SUM_TOL) or np.any(entries > 1 + ROW_SUM_TOL):
+    # each test states what must hold, so a NaN (every comparison False) fails it
+    if not np.all((entries >= -ROW_SUM_TOL) & (entries <= 1 + ROW_SUM_TOL)):
         raise ValueError("probabilities must lie in [0, 1]")
     row_sums = entries.sum(axis=-1)
-    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+    if not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL):
         raise ValueError(f"rows must sum to 1, got {row_sums}")
     out = np.clip(entries, 0.0, 1.0)
     out.flags.writeable = False
@@ -192,22 +190,22 @@ def _require_consistent(p: Distribution, w: StochasticMatrix) -> None:
 
 
 def is_irreducible(w: StochasticMatrix) -> bool:
-    """Exact reachability test: positivity of sum(W^m, m=1..K)."""
-    t = w.entries
-    acc = np.zeros_like(t)
-    power = np.eye(w.size)
-    for _ in range(w.size):
-        power = power @ t
-        acc += power
-    return bool(np.all(acc > 0))
+    """Exact reachability on the integer zero pattern of ``W`` (float powers underflow)."""
+    step = (w.entries > 0).astype(np.int64)
+    reach = step
+    for _ in range(w.size - 1):
+        reach = np.minimum(reach + reach @ step, 1)
+    return bool(np.all(reach))
 
 
 def stationary_distribution(w: StochasticMatrix) -> Distribution:
     """Unique stationary distribution ``p`` with ``p @ W == p``.
 
-    Solved as the dense left eigenvector for the unit eigenvalue, with a
-    power-iteration fallback on the lazy chain ``(I + W)/2`` when the
-    eigensolve is ill-conditioned.
+    Solved by Grassmann-Taksar-Heyman state reduction (Operations Research
+    33(5), 1985): censor the states from the last down to the first, then
+    back-substitute.  It only adds, multiplies and divides nonnegative
+    numbers, so every component keeps full relative accuracy, also on
+    nearly reducible chains.
 
     Raises:
         ReducibleChainError: if the chain is not irreducible (no unique
@@ -217,32 +215,14 @@ def stationary_distribution(w: StochasticMatrix) -> Distribution:
         raise ReducibleChainError(
             "transition matrix is reducible: no unique stationary distribution"
         )
-    t = w.entries
-    evals, evecs = np.linalg.eig(t.T)
-    order = np.argsort(-evals.real)
-    lead = order[0]
-    p = np.real(evecs[:, lead])
-    p = np.where(np.abs(p) < 1e-300, 0.0, p)
-    if p.sum() < 0:
-        p = -p
-    total = p.sum()
-    if total > 0 and p.min() >= -1e-9:
-        p = np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()
-        if np.abs(p @ t - p).max() <= STATIONARY_TOL:
-            return Distribution(p)
-    # fallback: power iteration on the aperiodic lazy chain
-    lazy = 0.5 * (np.eye(w.size) + t)
-    p = np.full(w.size, 1.0 / w.size)
-    for _ in range(_POWER_ITER_MAX):
-        p_next = p @ lazy
-        if np.abs(p_next - p).max() <= _POWER_ITER_TOL:
-            p = p_next
-            break
-        p = p_next
-    p = p / p.sum()
-    if np.abs(p @ t - p).max() > STATIONARY_TOL:
-        raise ReducibleChainError("stationary distribution did not converge")
-    return Distribution(p)
+    a = w.entries.copy()
+    for n in range(w.size - 1, 0, -1):
+        a[:n, n] /= a[n, :n].sum()
+        a[:n, :n] += np.outer(a[:n, n], a[n, :n])
+    p = np.ones(w.size)
+    for n in range(1, w.size):
+        p[n] = p[:n] @ a[:n, n]
+    return Distribution(p / p.sum())
 
 
 def entropy_rate(p: Distribution, w: StochasticMatrix) -> float:

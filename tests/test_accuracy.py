@@ -124,6 +124,22 @@ class TestMaxEntErrorStats:
         with pytest.raises(ValueError, match="2-state"):
             maxent_error_stats(w, 10)
 
+    @pytest.mark.parametrize("values", [(0.0, 1.0), (-2.0, 3.0)])
+    @pytest.mark.parametrize(
+        "analytic",
+        [
+            lambda w: maxent_error_stats(w, 10),
+            lambda w: sampling_error_stats(w, 10),
+            lambda w: critical_sample_size(w, cap=20),
+        ],
+        ids=["maxent_error_stats", "sampling_error_stats", "critical_sample_size"],
+    )
+    def test_two_states_other_than_plus_minus_one_unsupported(self, values, analytic):
+        # the closed forms assume x = -1, +1 (A = 2 W_00 - 1 on the diagonal family)
+        w = StochasticMatrix(np.array([[0.7, 0.3], [0.4, 0.6]]), StateSpace(values))
+        with pytest.raises(ValueError, match="2-state"):
+            analytic(w)
+
 
 class TestSamplingErrorStats:
     def test_symmetric_half_chain(self):
@@ -234,6 +250,12 @@ class TestMuCurve:
     def test_unsupported_state_count(self):
         with pytest.raises(ValueError):
             mu_curve(4, [10])
+
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_worker_counts_below_one(self, n_states, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            mu_curve(n_states, [5], grid=6, cap=10, samples=4, replicates=5, workers=workers)
 
     def test_three_state_reproducible_and_nonincreasing(self):
         kwargs = dict(samples=32, replicates=40, seed=123)

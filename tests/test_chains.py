@@ -59,6 +59,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             StochasticMatrix(np.array([[1.0, 0.0]]), StateSpace.binary())
 
+    def test_nan_is_rejected(self):
+        # every comparison with NaN is False, so only tests that must hold catch it
+        with pytest.raises(ValueError):
+            mat2(np.nan, np.nan, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            Distribution(np.array([np.nan, np.nan]))
+        stack = TimeVaryingMatrix(lambda t: np.full((t.size, 2, 2), np.nan), StateSpace.binary())
+        with pytest.raises(ValueError):
+            stack.entries(np.arange(3))
+
     def test_uniform_rows_sum_to_one(self):
         for k in (2, 3, 5):
             w = StochasticMatrix.uniform(StateSpace.default(k))
@@ -104,11 +114,52 @@ class TestStationary:
             k = int(rng.integers(2, 4))
             w = random_irreducible(rng, k)
             p = stationary_distribution(w)
-            assert np.abs(p.mass @ w.entries - p.mass).max() <= 1e-10
+            assert np.abs(p.mass @ w.entries - p.mass).max() <= 1e-14
 
     def test_irreducibility_detector(self):
         assert is_irreducible(mat2(0.5, 0.5, 0.5, 0.5))
         assert not is_irreducible(mat2(1.0, 0.0, 0.0, 1.0))
+
+    def test_near_identity_chain_is_exact(self):
+        # two-state closed form: p = (W_10, W_01) / (W_01 + W_10) = (1/3, 2/3)
+        p = stationary_distribution(mat2(1 - 1e-12, 1e-12, 5e-13, 1 - 5e-13))
+        np.testing.assert_allclose(p.mass, [1 / 3, 2 / 3], rtol=0, atol=1e-15)
+
+    def test_birth_death_chains_match_detailed_balance_product(self, rng):
+        # a birth-death chain is reversible: p_(i+1) / p_i = W_(i,i+1) / W_(i+1,i)
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            rates = 10.0 ** rng.uniform(-12, np.log10(0.5), size=(2, k - 1))
+            entries = np.diag(rates[0], 1) + np.diag(rates[1], -1)
+            entries += np.diag(1.0 - entries.sum(axis=1))
+            w = StochasticMatrix(entries, StateSpace.default(k))
+            up, down = np.diag(w.entries, 1), np.diag(w.entries, -1)
+            expected = np.concatenate([[1.0], np.cumprod(up / down)])
+            expected /= expected.sum()
+            np.testing.assert_allclose(stationary_distribution(w).mass, expected, rtol=1e-13, atol=0)
+
+    def test_tiny_cycle_is_irreducible_and_uniform(self):
+        # 1e-170 cubed underflows, so floating-point powers of W lose the cycle
+        entries = np.eye(3) * (1 - 1e-170) + np.roll(np.eye(3), 1, axis=1) * 1e-170
+        w = StochasticMatrix(entries, StateSpace.ternary())
+        assert is_irreducible(w)
+        np.testing.assert_allclose(stationary_distribution(w).mass, 1 / 3, rtol=1e-15, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_irreducible_chains_with_tiny_entries_solve(self, data):
+        k = data.draw(st.integers(2, 6))
+        entry = st.one_of(st.just(0.0), st.floats(-12, 0).map(lambda e: 10.0**e))
+        raw = np.array(data.draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+        # a positive k-cycle through a drawn ordering makes every chain irreducible
+        order = data.draw(st.permutations(range(k)))
+        cycle = (np.array(order), np.roll(order, -1))
+        raw[cycle] = np.maximum(raw[cycle], 1e-12)
+        w = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True), StateSpace.default(k))
+        p = stationary_distribution(w).mass
+        assert p.min() >= 0.0
+        assert p.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(p @ w.entries - p).max() <= 1e-14
 
 
 class TestEntropyRate:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from maxent_markov.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from maxent_markov.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, main
 
 
 def read_artifact(path):
@@ -147,6 +148,13 @@ class TestSweeps:
         _, _, rows = read_artifact(out)
         strata = {int(r[0]) for r in rows}
         assert strata == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_mucurve_rejects_worker_counts_below_one(self, tmp_path, workers):
+        out = tmp_path / "never.csv"
+        assert main(["mucurve", "--k", "2", "--n", "5", "--grid", "6", "--cap", "10",
+                     "--workers", workers, "--output", str(out)]) == EXIT_DATA
+        assert not out.exists()
 
     def test_usage_error_on_bad_n(self, tmp_path):
         assert main(["mucurve", "--k", "2", "--n", "abc"]) == EXIT_USAGE
@@ -358,3 +366,8 @@ def test_csv_and_json_carry_one_table(tmp_path, rng, command):
     ]
     if command == "discretize":
         assert all(isinstance(row[0], str) for row in doc["rows"])
+    # the --help column list is a second copy of the table keys: tie them
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    description = subparsers.choices[command].description
+    assert description.startswith("Output columns: ")
+    assert lines[1] == description.removeprefix("Output columns: ").split(" (")[0]

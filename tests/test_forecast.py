@@ -481,3 +481,11 @@ class TestBacktest:
         series = simulate(w, Distribution.uniform(3), 100, seed=8)
         with pytest.raises(ValueError):
             backtest(series, TERNARY, [10], methods=("bogus",))
+
+    def test_rejects_nan_window_estimates(self, rng, monkeypatch):
+        w = random_irreducible(rng, 3)
+        series = simulate(w, Distribution.uniform(3), 100, seed=8)
+        nan_entries = lambda series, states, method, ends, windows: np.full((ends.size, 3, 3), np.nan)
+        monkeypatch.setattr(forecast, "_window_entries", nan_entries)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            backtest(series, TERNARY, [10], methods=("sampling",))
