@@ -1,16 +1,19 @@
 """Price series loading, resampling, returns and three-state discretization.
 
-Input files are two-column CSVs with a ``timestamp,price`` header;
-timestamps are ISO-8601 or epoch seconds (detected once per file).
-Resampling carries the last observed price forward onto a fixed-interval
-grid, simple returns are taken, and returns are mapped to the down / flat
-/ up alphabet by a symmetric threshold (strict inequalities: values
-exactly at the threshold count as flat).
+Both CSV loaders parse their data rows in one ``np.loadtxt`` call (comma
+separated, fields optionally double-quoted, blank lines skipped, extra
+columns ignored) and name a bad row by its line.  Price files have a
+``timestamp,price`` header, ISO-8601 or epoch-second timestamps (detected
+once per file) and finite values only.  Resampling carries the last price
+forward onto a fixed-interval grid, simple returns are taken, and returns
+map to down / flat / up by a symmetric threshold (strict inequalities:
+values exactly at the threshold count as flat).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -29,7 +32,7 @@ class PriceDataError(ValueError):
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Strictly increasing timestamps (epoch seconds) with positive prices."""
+    """Strictly increasing, finite timestamps (epoch seconds) with finite positive prices."""
 
     timestamps: np.ndarray
     prices: np.ndarray
@@ -41,10 +44,7 @@ class PriceSeries:
             raise PriceDataError("timestamps and prices must be aligned 1-D arrays")
         if ts.size == 0:
             raise PriceDataError("empty price series")
-        if np.any(np.diff(ts) <= 0):
-            raise PriceDataError("timestamps must be strictly increasing")
-        if np.any(px <= 0):
-            raise PriceDataError("prices must be positive")
+        _validate(ts, px, lambda i: f"point {i}")
         for name, arr in (("timestamps", ts), ("prices", px)):
             arr = np.array(arr)
             arr.flags.writeable = False
@@ -52,6 +52,18 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
+
+
+def _validate(ts: np.ndarray, px: np.ndarray, where) -> None:
+    """Raise at the first point that breaks the series invariants; ``where(i)`` names point i."""
+    finite = np.isfinite(ts) & np.isfinite(px)
+    bad = np.flatnonzero(~finite | (px <= 0) | np.r_[False, np.diff(ts) <= 0])
+    if bad.size:
+        i = int(bad[0])
+        reason = ("timestamps and prices must be finite" if not finite[i]
+                  else f"prices must be positive, got {float(px[i])!r}" if px[i] <= 0
+                  else "timestamps must be strictly increasing")
+        raise PriceDataError(f"{where(i)}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +77,6 @@ class ReturnSeries:
         return int(self.values.size)
 
 
-def _parse_timestamp_epoch(raw: str) -> float:
-    return float(raw)
-
-
 def _parse_timestamp_iso(raw: str) -> float:
     dt = datetime.fromisoformat(raw.strip())
     if dt.tzinfo is None:
@@ -76,52 +84,63 @@ def _parse_timestamp_iso(raw: str) -> float:
     return dt.timestamp()
 
 
+_loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _header(path: Path, line: str) -> tuple[list[str], list[str]]:
+    if not line:
+        raise PriceDataError(f"{path}: empty file")
+    header = next(csv.reader([line]))
+    return header, [c.strip().lower() for c in header]
+
+
+def _data_lines(fh, skip: int):
+    """``(line number, text)`` of the non-blank lines after the first ``skip``."""
+    fh.seek(0)
+    return ((n, line) for n, line in enumerate(fh, start=1) if n > skip and line.strip())
+
+
+def _read_columns(path: Path, fh, skip: int, usecols: list[int], iso_column: int | None = None):
+    """Columns ``usecols`` of the non-blank lines after the first ``skip``, in one C parse.
+
+    ISO-8601 ``iso_column`` values are detected from the first data row.  numpy's
+    row counts skip blank lines, so a bad line is found by re-parsing, on error only.
+    """
+    lines = filter(str.strip, fh)
+    first = next(lines, None)
+    if first is None:
+        raise PriceDataError(f"{path}: no data rows")
+    converters = None
+    if iso_column is not None:
+        try:
+            _loadtxt([first], usecols=[iso_column])
+        except ValueError:
+            converters = {iso_column: _parse_timestamp_iso}
+    try:
+        return _loadtxt(itertools.chain([first], lines), usecols=usecols, converters=converters)
+    except ValueError:
+        for line_no, line in _data_lines(fh, skip):
+            try:
+                _loadtxt([line], usecols=usecols, converters=converters)
+            except ValueError:
+                raise PriceDataError(f"{path}:{line_no}: malformed row {line.strip()!r}") from None
+        raise
+
+
 def load_prices(path: str | Path) -> PriceSeries:
     """Read a ``timestamp,price`` CSV into a validated series.
 
-    The timestamp format (epoch seconds or ISO-8601) is detected from the
-    first data row and applied to the whole file; malformed rows are
-    reported with their line number.
+    Malformed rows, and the first row that breaks the ``PriceSeries``
+    invariants, are reported with their line number.
     """
     path = Path(path)
-    timestamps: list[float] = []
-    prices: list[float] = []
-    parse = None
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise PriceDataError(f"{path}: empty file")
-        names = [c.strip().lower() for c in header]
+        header, names = _header(path, fh.readline())
         if names[:2] != ["timestamp", "price"]:
             raise PriceDataError(f"{path}: expected header 'timestamp,price', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise PriceDataError(f"{path}:{line_no}: expected two columns, got {row}")
-            if parse is None:
-                try:
-                    _parse_timestamp_epoch(row[0])
-                    parse = _parse_timestamp_epoch
-                except ValueError:
-                    parse = _parse_timestamp_iso
-            try:
-                ts = parse(row[0])
-                price = float(row[1])
-            except ValueError as exc:
-                raise PriceDataError(f"{path}:{line_no}: malformed row: {exc}") from exc
-            if price <= 0:
-                raise PriceDataError(f"{path}:{line_no}: price must be positive, got {price}")
-            if timestamps and ts <= timestamps[-1]:
-                raise PriceDataError(
-                    f"{path}:{line_no}: timestamps must be strictly increasing"
-                )
-            timestamps.append(ts)
-            prices.append(price)
-    if not timestamps:
-        raise PriceDataError(f"{path}: no data rows")
-    return PriceSeries(np.array(timestamps), np.array(prices))
+        ts, px = _read_columns(path, fh, 1, [0, 1], iso_column=0).T
+        _validate(ts, px, lambda i: f"{path}:{next(itertools.islice(_data_lines(fh, 1), i, None))[0]}")
+    return PriceSeries(ts, px)
 
 
 def resample(prices: PriceSeries, interval: float) -> PriceSeries:
@@ -203,44 +222,24 @@ def load_states(path: str | Path, n_states: int | None = None) -> tuple[StateSeq
     pass ``n_states`` to force it.
     """
     path = Path(path)
-    values: list[float] = []
     with path.open(newline="") as fh:
-        comments = 0
-        line = fh.readline()
+        skip, line = 1, fh.readline()
         while line.startswith("#"):
-            comments += 1
-            line = fh.readline()
-        if not line:
-            raise PriceDataError(f"{path}: empty file")
-        reader = csv.reader(itertools.chain([line], fh))
-        header = next(reader)
-        names = [c.strip().lower() for c in header]
-        try:
-            col = names.index("state")
-        except ValueError:
-            raise PriceDataError(f"{path}: no 'state' column in header {header}") from None
-        for line_no, row in enumerate(reader, start=comments + 2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                values.append(float(row[col]))
-            except (ValueError, IndexError) as exc:
-                raise PriceDataError(f"{path}:{line_no}: malformed row: {exc}") from exc
-    if not values:
-        raise PriceDataError(f"{path}: no data rows")
-    arr = np.array(values)
-    if n_states is None:
-        distinct = set(arr.tolist())
-        if not distinct <= {-1.0, 0.0, 1.0}:
-            raise PriceDataError(
-                f"{path}: state values {sorted(distinct)} are not in the -1/0/+1 alphabet; "
-                "pass n_states explicitly"
-            )
-        n_states = 3 if 0.0 in distinct else 2
+            skip, line = skip + 1, fh.readline()
+        header, names = _header(path, line)
+        if "state" not in names:
+            raise PriceDataError(f"{path}: no 'state' column in header {header}")
+        values = _read_columns(path, fh, skip, [names.index("state")])[:, 0]
+    forced = n_states is not None
+    if not forced:
+        n_states = 3 if np.any(values == 0) else 2
     space = StateSpace.default(n_states)
-    lookup = {v: i for i, v in enumerate(space.values)}
-    try:
-        indices = np.array([lookup[v] for v in arr.tolist()], dtype=np.int64)
-    except KeyError as exc:
-        raise PriceDataError(f"{path}: state value {exc} not in {space.values}") from exc
+    grid = space.as_array()
+    indices = np.minimum(np.searchsorted(grid, values), grid.size - 1)
+    missing = np.flatnonzero(grid[indices] != values)
+    if missing.size and forced:
+        raise PriceDataError(f"{path}: state value {float(values[missing[0]])!r} not in {space.values}")
+    if missing.size:
+        raise PriceDataError(f"{path}: state values {sorted(set(values.tolist()))} are not in the "
+                             "-1/0/+1 alphabet; pass n_states explicitly")
     return StateSequence(indices, n_states), space

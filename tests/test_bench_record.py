@@ -1,0 +1,47 @@
+"""tools/bench_record.py reads what perfbench/run.py prints."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def test_parses_a_real_run():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "track-binary",
+         "--seed", "3", "--seconds", "0.1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = bench_record.parse_run(proc.stdout)
+    assert record["failed"] == 0 and record["attempted"] >= 3
+    assert set(record["metrics"]) == {"run_s", "setup_s", "cpu_s", "peak_rss_mb"}
+    for m in record["metrics"].values():
+        assert m["q1"] <= m["median"] <= m["q3"] and m["n"] == record["attempted"]
+    assert isinstance(record["context"]["src_lines"], int)
+
+
+def test_rejects_output_without_the_metric_lines():
+    stdout = 'context {"src_lines": 1}\n{"attempted": 3, "failed": 0, "metrics": {"run_s": {}}}\n'
+    with pytest.raises(ValueError, match="run_s"):
+        bench_record.parse_run(stdout)
+
+
+def test_revision_marks_a_changed_tree_dirty(tmp_path):
+    assert bench_record.revision(tmp_path) is None
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    (tmp_path / "f").write_text("a\n")
+    for cmd in (["init", "-q"], ["add", "f"], ["commit", "-q", "-m", "f"]):
+        subprocess.run(git + cmd, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True).stdout
+    clean = bench_record.revision(tmp_path)
+    assert clean and head.startswith(clean)
+    (tmp_path / "f").write_text("b\n")
+    assert bench_record.revision(tmp_path) == clean + "-dirty"

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxent_markov import (
     PriceDataError,
     PriceSeries,
+    StateSequence,
     StateSpace,
     discretize,
     load_prices,
@@ -61,6 +66,106 @@ class TestLoadPrices:
         path = write(tmp_path, "")
         with pytest.raises(PriceDataError):
             load_prices(path)
+
+    def test_blank_and_whitespace_only_lines_skipped(self, tmp_path):
+        path = write(tmp_path, "timestamp,price\n\n100,1.0\n   \n\t\n200,1.5\n\n")
+        series = load_prices(path)
+        assert series.timestamps.tolist() == [100.0, 200.0]
+        assert series.prices.tolist() == [1.0, 1.5]
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"timestamp,price\r\n100,1.0\r\n200,1.5\r\n")
+        assert load_prices(path).prices.tolist() == [1.0, 1.5]
+
+    def test_quoted_and_padded_fields(self, tmp_path):
+        path = write(tmp_path, 'timestamp,price\n1,100\n2,"101"\n"3", 102 \n')
+        series = load_prices(path)
+        assert series.timestamps.tolist() == [1.0, 2.0, 3.0]
+        assert series.prices.tolist() == [100.0, 101.0, 102.0]
+
+    def test_extra_trailing_columns_ignored(self, tmp_path):
+        path = write(tmp_path, "timestamp,price,volume\n100,1.0,5\n200,1.5,x,y\n300,1.25\n")
+        assert load_prices(path).prices.tolist() == [1.0, 1.5, 1.25]
+
+    def test_header_without_data_rows_rejected_without_warning(self, tmp_path):
+        path = write(tmp_path, "timestamp,price\n\n  \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PriceDataError, match="no data rows"):
+                load_prices(path)
+
+    @pytest.mark.parametrize("row", ["2,nan", "4,inf", "nan,102", "5,-inf", "inf,102"])
+    def test_non_finite_values_rejected_with_line(self, tmp_path, row):
+        path = write(tmp_path, f"timestamp,price\n1,100\n\n{row}\n9,103\n")
+        with pytest.raises(PriceDataError, match=":4: .*finite"):
+            load_prices(path)
+
+    def test_malformed_row_after_blank_lines_reports_line(self, tmp_path):
+        path = write(tmp_path, "timestamp,price\n100,1.0\n\n   \n150,x\n")
+        with pytest.raises(PriceDataError, match=":5:"):
+            load_prices(path)
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = write(tmp_path, "timestamp,price\n100,1.0\n150\n200,1.1\n")
+        with pytest.raises(PriceDataError, match=":3:"):
+            load_prices(path)
+
+    def test_malformed_iso_timestamp_reports_line(self, tmp_path):
+        path = write(
+            tmp_path,
+            "timestamp,price\n2009-01-01T00:00:00,1.40\n\n2009-13-01T00:00:00,1.41\n",
+        )
+        with pytest.raises(PriceDataError, match=":4:"):
+            load_prices(path)
+
+    def test_first_bad_line_wins_across_checks(self, tmp_path):
+        # line 4 breaks the timestamp order before line 5's zero price
+        path = write(tmp_path, "timestamp,price\n1,1.0\n3,1.0\n2,1.0\n4,0\n")
+        with pytest.raises(PriceDataError, match=":4: timestamps must be strictly increasing"):
+            load_prices(path)
+        path = write(tmp_path, "timestamp,price\n1,1.0\n2,-1.0\n1,1.0\n")
+        with pytest.raises(PriceDataError, match=":3: .*positive"):
+            load_prices(path)
+
+    @pytest.mark.parametrize("row", ["200,1_000", "200,1.5e-0_1", "200,\u0661\u0662", '""'])
+    def test_inputs_outside_the_c_grammar_rejected(self, tmp_path, row):
+        # float() reads digit-group underscores and non-ASCII digits, and the
+        # csv module read a lone quoted empty field as a blank line; the C
+        # parser accepts none of them
+        path = write(tmp_path, f"timestamp,price\n100,1.0\n{row}\n300,1.1\n")
+        with pytest.raises(PriceDataError, match=":3: malformed row"):
+            load_prices(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=4e9, allow_nan=False),
+                st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+            unique_by=lambda row: row[0],
+        )
+    )
+    def test_repr_round_trip_is_bit_exact(self, tmp_path_factory, rows):
+        rows = sorted(rows)
+        path = tmp_path_factory.mktemp("rt") / "prices.csv"
+        path.write_text("timestamp,price\n" + "".join(f"{t!r},{p!r}\n" for t, p in rows))
+        series = load_prices(path)
+        assert series.timestamps.tobytes() == np.array([float(repr(t)) for t, _ in rows]).tobytes()
+        assert series.prices.tobytes() == np.array([float(repr(p)) for _, p in rows]).tobytes()
+
+
+class TestPriceSeries:
+    @pytest.mark.parametrize(
+        "timestamps, prices",
+        [([0.0, 1.0], [1.0, np.nan]), ([0.0, np.inf], [1.0, 2.0]), ([np.nan, 1.0], [1.0, 2.0])],
+    )
+    def test_non_finite_values_rejected(self, timestamps, prices):
+        with pytest.raises(PriceDataError, match="finite"):
+            PriceSeries(np.array(timestamps), np.array(prices))
 
 
 class TestResample:
@@ -163,8 +268,6 @@ class TestDiscretize:
 
 class TestStateCsvRoundTrip:
     def test_write_and_load(self, tmp_path, rng):
-        from maxent_markov import StateSequence
-
         seq = StateSequence(rng.integers(0, 3, size=40), 3)
         path = tmp_path / "states.csv"
         write_states(path, seq, StateSpace.ternary())
@@ -173,8 +276,6 @@ class TestStateCsvRoundTrip:
         assert np.array_equal(loaded.indices, seq.indices)
 
     def test_write_with_timestamps(self, tmp_path):
-        from maxent_markov import StateSequence
-
         seq = StateSequence(np.array([0, 1, 1]), 2)
         path = tmp_path / "states.csv"
         write_states(path, seq, StateSpace.binary(), timestamps=np.array([1.0, 2.0, 3.0]))
@@ -200,3 +301,64 @@ class TestStateCsvRoundTrip:
         path.write_text("state\n1\n7\n")
         with pytest.raises(PriceDataError):
             load_states(path)
+
+    def test_forced_space_rejects_value_outside_it(self, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text("state\n1\n0\n-1\n")
+        with pytest.raises(PriceDataError, match=r"state value 0\.0 not in \(-1\.0, 1\.0\)"):
+            load_states(path, n_states=2)
+
+    @pytest.mark.parametrize("comments", ["", "# seed 3\n", "# a\n# b\n"])
+    def test_timestamp_state_columns(self, tmp_path, comments):
+        path = tmp_path / "states.csv"
+        path.write_text(comments + "timestamp,state\n1.0,1\n\n2.0,0\r\n3.0,\"-1\"\n")
+        loaded, space = load_states(path)
+        assert space.size == 3
+        assert list(loaded.indices) == [2, 1, 0]
+
+    def test_state_column_found_by_name(self, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text("state,timestamp,note\n-1,1.0,a\n1,2.0\n")
+        loaded, space = load_states(path)
+        assert list(loaded.indices) == [0, 1]
+
+    def test_malformed_value_after_comments_and_blank_line(self, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text("# a\n# b\nstate\n1\n\n0\nx\n-1\n")
+        with pytest.raises(PriceDataError, match=":7:"):
+            load_states(path)
+
+    def test_short_row_lacking_state_column(self, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text("# meta\ntimestamp,state\n1,1\n\n2\n3,0\n")
+        with pytest.raises(PriceDataError, match=":5:"):
+            load_states(path)
+
+    @pytest.mark.parametrize("text", ["state\n", "# meta\nstate\n\n   \n", "timestamp,state\n"])
+    def test_header_without_data_rows(self, tmp_path, text):
+        path = tmp_path / "states.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PriceDataError, match="no data rows"):
+                load_states(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=3).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(st.integers(min_value=0, max_value=k - 1), min_size=1, max_size=60),
+                st.booleans(),
+            )
+        )
+    )
+    def test_write_states_round_trip(self, tmp_path_factory, case):
+        k, indices, stamped = case
+        seq = StateSequence(np.array(indices), k)
+        path = tmp_path_factory.mktemp("rt") / "states.csv"
+        timestamps = 1.6e9 + 60.5 * np.arange(len(indices)) if stamped else None
+        write_states(path, seq, StateSpace.default(k), timestamps=timestamps)
+        loaded, space = load_states(path, n_states=k)
+        assert space == StateSpace.default(k)
+        assert loaded.indices.tolist() == indices
