@@ -13,6 +13,7 @@ treatment by Monte-Carlo simulation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -252,50 +253,32 @@ def critical_size_map(resolution: int = 100, cap: int = DEFAULT_CAP) -> Critical
 
 
 def _empirical_weighted_gain(
-    entries: np.ndarray,
-    p: np.ndarray,
-    x: np.ndarray,
-    n: int,
-    replicates: int,
-    rng: np.random.Generator,
-    lattice: np.ndarray,
+    entries: np.ndarray, p: np.ndarray, n: int, replicates: int, rng: np.random.Generator, lattice: np.ndarray
 ) -> float:
-    """Stationary-weighted mean error gain of maxent over sampling at size ``n``.
+    """Stationary-weighted mean error gain of maxent over sampling at size ``n``, on 3 states.
 
-    ``lattice[S + n - 1]`` is the maxent matrix of pair-sum ``S``.
+    ``lattice[S + n - 1]`` is the maxent matrix of pair-sum ``S``; a path's
+    pair-sum is ``sum_ij counts_ij x_i x_j``, exact on the integer states.
     """
     k = entries.shape[0]
-    paths = simulate_batch(entries, p, n, replicates, rng)
-    xs = x[paths]
-    pair_sums = (xs[:, :-1] * xs[:, 1:]).sum(axis=1).astype(np.int64)
+    counts = transition_counts(simulate_batch(entries, p, n, replicates, rng), k)
+    x = StateSpace.ternary().as_array()
+    pair_sums = (counts * np.outer(x, x)).sum(axis=(1, 2)).astype(np.int64)
     err_me = np.abs(lattice[pair_sums + n - 1] - entries).mean(axis=0)
-    freq = transition_frequencies(transition_counts(paths, k))
-    err_samp = np.abs(freq - entries).mean(axis=0)
+    err_samp = np.abs(transition_frequencies(counts) - entries).mean(axis=0)
     return float((p[:, None] * (err_samp - err_me)).sum() / k)
 
 
-def _three_state_batch(args) -> tuple[np.ndarray, np.ndarray]:
-    """Worker task: empirical critical sizes for a batch of random matrices."""
-    seeds, scan, replicates, lattices = args
-    states = StateSpace.ternary()
-    x = states.as_array()
-    ncs = np.empty(len(seeds))
-    rates = np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        entries = rng.dirichlet(np.ones(3), size=3)
-        matrix = StochasticMatrix(entries, states)
-        p = stationary_distribution(matrix)
-        rates[i] = entropy_rate(p, matrix)
-        best = 0.0
-        for n, lattice in zip(scan, lattices):
-            gain = _empirical_weighted_gain(
-                matrix.entries, p.mass, x, int(n), replicates, rng, lattice
-            )
-            if gain >= 0:
-                best = float(n)
-        ncs[i] = best
-    return ncs, rates
+def _judge_matrix(seed, sizes: np.ndarray, replicates: int, lattices: list) -> tuple[float, float]:
+    """Empirical critical size and entropy rate of the random 3-state matrix drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    matrix = StochasticMatrix(rng.dirichlet(np.ones(3), size=3), StateSpace.ternary())
+    p = stationary_distribution(matrix)
+    best = 0.0
+    for n, lattice in zip(sizes, lattices):
+        if _empirical_weighted_gain(matrix.entries, p.mass, int(n), replicates, rng, lattice) >= 0:
+            best = float(n)
+    return best, entropy_rate(p, matrix)
 
 
 def mu_curve(
@@ -317,7 +300,10 @@ def mu_curve(
     ``samples`` matrices drawn row-wise flat on the simplex, each judged
     by ``replicates`` simulated estimation runs per scanned size; the
     critical size of a matrix is the largest scanned ``n`` at which the
-    stationary-weighted mean error gain is still nonnegative.
+    stationary-weighted mean error gain is still nonnegative.  Each matrix
+    draws from its own spawned seed, so ``workers`` processes, which take
+    the matrices in chunks of ``ceil(samples / workers)``, give the serial
+    result.
 
     With ``stratify`` (three states only) one curve is emitted per
     cumulated entropy-rate quintile: stratum ``q`` covers the matrices in
@@ -334,47 +320,34 @@ def mu_curve(
     if n_states == 2:
         if stratify:
             raise ValueError("stratification applies to the 3-state Monte-Carlo sweep")
-        weighted = critical_size_map(grid, cap).weighted.ravel()
-        fractions = np.array([np.mean(weighted >= n) for n in sizes])
-        return [MuCurve(sizes, fractions, None)]
+        ncs, rates = critical_size_map(grid, cap).weighted.ravel(), None
+    elif n_states == 3:
+        if sizes.min() < 2:
+            raise ValueError("the Monte-Carlo sweep needs sample sizes >= 2")
+        # sample autocorrelations of length-n paths are S / (n - 1) for the
+        # integer pair-sums S in [-(n - 1), n - 1]: one exact solve per distinct
+        # lattice point, shared by every size whose lattice holds it
+        points = 2 * sizes - 1
+        pair_sums = np.concatenate([np.arange(-(n - 1), n) for n in sizes])
+        flat = maxent_entries(StateSpace.ternary(), pair_sums, np.repeat(sizes - 1, points))
+        lattices = np.split(flat, np.cumsum(points)[:-1])
+        judge = functools.partial(_judge_matrix, sizes=sizes, replicates=replicates, lattices=lattices)
+        seeds = np.random.SeedSequence(seed).spawn(samples)
+        if workers > 1:
+            # imported here: it pulls in multiprocessing, which one worker never needs
+            from concurrent.futures import ProcessPoolExecutor
 
-    if n_states != 3:
-        raise ValueError("mu_curve supports 2 or 3 states")
-    if sizes.min() < 2:
-        raise ValueError("the Monte-Carlo sweep needs sample sizes >= 2")
-
-    # sample autocorrelations of length-n paths are S / (n - 1) for the
-    # integer pair-sums S in [-(n - 1), n - 1]: one exact solve per distinct
-    # lattice point, shared by every size whose lattice holds it
-    points = 2 * sizes - 1
-    pair_sums = np.concatenate([np.arange(-(n - 1), n) for n in sizes])
-    flat = maxent_entries(StateSpace.ternary(), pair_sums, np.repeat(sizes - 1, points))
-    lattices = np.split(flat, np.cumsum(points)[:-1])
-    child_seeds = np.random.SeedSequence(seed).spawn(samples)
-    batch_size = 64
-    batches = [
-        (child_seeds[i : i + batch_size], sizes, replicates, lattices)
-        for i in range(0, samples, batch_size)
-    ]
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which one worker never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_three_state_batch, batches))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                judged = list(pool.map(judge, seeds, chunksize=math.ceil(samples / workers)))
+        else:
+            judged = list(map(judge, seeds))
+        ncs, rates = np.array(judged).T
     else:
-        results = [_three_state_batch(b) for b in batches]
-    ncs = np.concatenate([r[0] for r in results])
-    rates = np.concatenate([r[1] for r in results])
-
-    if not stratify:
-        fractions = np.array([np.mean(ncs >= n) for n in sizes])
-        return [MuCurve(sizes, fractions, None)]
+        raise ValueError("mu_curve supports 2 or 3 states")
 
     curves = []
-    for q in range(1, 6):
-        cutoff = np.quantile(rates, 1.0 - 0.2 * q) if q < 5 else -np.inf
-        members = ncs[rates >= cutoff]
-        fractions = np.array([np.mean(members >= n) for n in sizes])
-        curves.append(MuCurve(sizes, fractions, q))
+    for q in range(1, 6) if stratify else [None]:
+        # stratum 5, like the unstratified curve, is the whole population
+        members = ncs[rates >= np.quantile(rates, 1.0 - 0.2 * q)] if q and q < 5 else ncs
+        curves.append(MuCurve(sizes, np.array([np.mean(members >= n) for n in sizes]), q))
     return curves

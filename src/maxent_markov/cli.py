@@ -143,7 +143,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, choices=(2, 3))
     p.add_argument("--n", type=_int_list, required=True)
     p.add_argument("--horizon", type=int, default=8)
-    p.add_argument("--methods", default="maxent,sampling,naive")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--stride", type=int, default=1)
     common(p)
 

@@ -3,11 +3,12 @@
 Both CSV loaders parse their data rows in one ``np.loadtxt`` call (comma
 separated, fields optionally double-quoted, blank lines skipped, extra
 columns ignored) and name a bad row by its line.  Price files have a
-``timestamp,price`` header, ISO-8601 or epoch-second timestamps (detected
-once per file) and finite values only.  Resampling carries the last price
-forward onto a fixed-interval grid, simple returns are taken, and returns
-map to down / flat / up by a symmetric threshold (strict inequalities:
-values exactly at the threshold count as flat).
+``timestamp,price`` header and finite prices; state files may have a
+``timestamp`` column.  Timestamps are ISO-8601 or epoch seconds (detected
+once per file), finite and strictly increasing.  Resampling carries the
+last price forward onto a fixed-interval grid, simple returns are taken,
+and returns map to down / flat / up by a symmetric threshold (strict
+inequalities: values exactly at the threshold count as flat).
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def _validate(ts: np.ndarray, px: np.ndarray, where) -> None:
     bad = np.flatnonzero(~finite | (px <= 0) | np.r_[False, np.diff(ts) <= 0])
     if bad.size:
         i = int(bad[0])
-        reason = ("timestamps and prices must be finite" if not finite[i]
+        reason = ("timestamps must be finite" if not np.isfinite(ts[i])
+                  else "prices must be finite" if not finite[i]
                   else f"prices must be positive, got {float(px[i])!r}" if px[i] <= 0
                   else "timestamps must be strictly increasing")
         raise PriceDataError(f"{where(i)}: {reason}")
@@ -98,6 +100,11 @@ def _data_lines(fh, skip: int):
     """``(line number, text)`` of the non-blank lines after the first ``skip``."""
     fh.seek(0)
     return ((n, line) for n, line in enumerate(fh, start=1) if n > skip and line.strip())
+
+
+def _file_line(path: Path, fh, skip: int):
+    """``where(i)`` for ``_validate``: data row ``i`` named as ``path:line``."""
+    return lambda i: f"{path}:{next(itertools.islice(_data_lines(fh, skip), i, None))[0]}"
 
 
 def _read_columns(path: Path, fh, skip: int, usecols: list[int], iso_column: int | None = None):
@@ -139,7 +146,7 @@ def load_prices(path: str | Path) -> PriceSeries:
         if names[:2] != ["timestamp", "price"]:
             raise PriceDataError(f"{path}: expected header 'timestamp,price', got {header}")
         ts, px = _read_columns(path, fh, 1, [0, 1], iso_column=0).T
-        _validate(ts, px, lambda i: f"{path}:{next(itertools.islice(_data_lines(fh, 1), i, None))[0]}")
+        _validate(ts, px, _file_line(path, fh, 1))
     return PriceSeries(ts, px)
 
 
@@ -217,9 +224,9 @@ def load_states(path: str | Path, n_states: int | None = None) -> tuple[StateSeq
 
     Accepts a single ``state`` column or ``timestamp,state``, after any
     leading ``#`` lines (such as the CLI's metadata line, so ``discretize``
-    artifacts load as written).  The state space defaults to the symmetric
-    codes implied by the values (any zero present means three states);
-    pass ``n_states`` to force it.
+    artifacts load as written).  Timestamps are checked as in ``load_prices``.
+    The state space defaults to the symmetric codes implied by the values
+    (any zero present means three states); pass ``n_states`` to force it.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -229,7 +236,11 @@ def load_states(path: str | Path, n_states: int | None = None) -> tuple[StateSeq
         header, names = _header(path, line)
         if "state" not in names:
             raise PriceDataError(f"{path}: no 'state' column in header {header}")
-        values = _read_columns(path, fh, skip, [names.index("state")])[:, 0]
+        cols = [names.index(name) for name in ("state", "timestamp") if name in names]
+        data = _read_columns(path, fh, skip, cols, iso_column=cols[1] if len(cols) > 1 else None)
+        if len(cols) > 1:
+            _validate(data[:, 1], np.ones(len(data)), _file_line(path, fh, skip))
+    values = data[:, 0]
     forced = n_states is not None
     if not forced:
         n_states = 3 if np.any(values == 0) else 2

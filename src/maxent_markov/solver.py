@@ -227,9 +227,9 @@ def maxent_2state(target: float) -> MaxEntSolution:
     matrix = StochasticMatrix(_binary_entries(target), states)
     stationary = Distribution(np.array([0.5, 0.5]))
     multiplier = float(np.arctanh(target))
-    solution = MaxEntSolution(matrix, stationary, multiplier, 0.0, float(target))
-    residual = lagrange_residuals(solution, states).max_violation
-    return MaxEntSolution(matrix, stationary, multiplier, residual, float(target))
+    residual = _residual_rows(matrix.entries[None], stationary.mass[None], states.as_array(),
+                              np.array([multiplier]), np.array([float(target)])).max()
+    return MaxEntSolution(matrix, stationary, multiplier, float(residual), float(target))
 
 
 def maxent_nstate(states: StateSpace, target: float) -> MaxEntSolution:

@@ -265,10 +265,12 @@ class TestMuCurve:
         assert np.all(np.diff(a.fractions) <= 0)
 
     def test_three_state_worker_count_does_not_change_results(self):
-        kwargs = dict(samples=24, replicates=30, seed=7)
-        (serial,) = mu_curve(3, [5, 10], workers=1, **kwargs)
-        (parallel,) = mu_curve(3, [5, 10], workers=2, **kwargs)
-        np.testing.assert_array_equal(serial.fractions, parallel.fractions)
+        # 25 matrices split into uneven chunks (13 + 12, 9 + 9 + 7)
+        for samples, workers in [(24, 2), (25, 2), (25, 3)]:
+            kwargs = dict(samples=samples, replicates=30, seed=7)
+            (serial,) = mu_curve(3, [5, 10], workers=1, **kwargs)
+            (parallel,) = mu_curve(3, [5, 10], workers=workers, **kwargs)
+            np.testing.assert_array_equal(serial.fractions, parallel.fractions)
 
     def test_stratified_curves(self):
         curves = mu_curve(3, [5, 10], samples=60, replicates=30, seed=5, stratify=True)
@@ -278,35 +280,36 @@ class TestMuCurve:
         np.testing.assert_array_equal(full.fractions, unstratified.fractions)
 
     def test_lattice_entries_are_exact_solves_at_every_pair_sum(self, monkeypatch):
-        lattices = []
-        batch = accuracy._three_state_batch
+        seen = []
+        judge = accuracy._judge_matrix
 
-        def spy(args):
-            lattices.append(args[3])
-            return batch(args)
+        def spy(seed, sizes, replicates, lattices):
+            seen.append(lattices)
+            return judge(seed, sizes, replicates, lattices)
 
-        monkeypatch.setattr(accuracy, "_three_state_batch", spy)
+        monkeypatch.setattr(accuracy, "_judge_matrix", spy)
         sizes = [5, 12]
         mu_curve(3, sizes, samples=4, replicates=5, seed=1)
-        assert len(lattices) == 1
+        # one task per matrix, all sharing the lattices solved once
+        assert len(seen) == 4
+        assert all(lattices is seen[0] for lattices in seen)
         bounds = feasible_range(TERNARY)
-        for n, lattice in zip(sizes, lattices[0]):
+        for n, lattice in zip(sizes, seen[0]):
             assert lattice.shape == (2 * n - 1, 3, 3)
             for s in range(-(n - 1), n):
                 exact = maxent_nstate(TERNARY, bounds.clamp(s / (n - 1), 1e-6)).matrix.entries
                 assert np.array_equal(lattice[s + n - 1], exact)
 
     def test_empirical_gain_scores_each_replicate_by_its_own_estimates(self):
-        n, replicates = 8, 25
+        replicates = 25
         entries = np.random.default_rng(4).dirichlet(np.ones(3), size=3)
         p = stationary_distribution(StochasticMatrix(entries, TERNARY)).mass
-        lattice = maxent_entries(TERNARY, np.arange(-(n - 1), n), n - 1)
-        gain = accuracy._empirical_weighted_gain(
-            entries, p, TERNARY.as_array(), n, replicates, np.random.default_rng(9), lattice
-        )
-        paths = simulate_batch(entries, p, n, replicates, np.random.default_rng(9))
-        windows = [StateSequence(path, 3) for path in paths]
-        me = np.stack([maxent_estimate(w, TERNARY).matrix.entries for w in windows])
-        samp = np.stack([frequency_estimate(w).entries for w in windows])
-        err = np.abs(samp - entries).mean(axis=0) - np.abs(me - entries).mean(axis=0)
-        assert gain == pytest.approx(float((p[:, None] * err).sum() / 3), abs=1e-12)
+        for n in [2, 8, 50]:
+            lattice = maxent_entries(TERNARY, np.arange(-(n - 1), n), n - 1)
+            gain = accuracy._empirical_weighted_gain(entries, p, n, replicates, np.random.default_rng(9), lattice)
+            paths = simulate_batch(entries, p, n, replicates, np.random.default_rng(9))
+            windows = [StateSequence(path, 3) for path in paths]
+            me = np.stack([maxent_estimate(w, TERNARY).matrix.entries for w in windows])
+            samp = np.stack([frequency_estimate(w).entries for w in windows])
+            err = np.abs(samp - entries).mean(axis=0) - np.abs(me - entries).mean(axis=0)
+            assert gain == pytest.approx(float((p[:, None] * err).sum() / 3), abs=1e-12), n

@@ -11,6 +11,7 @@ from maxent_markov import (
     StateSequence,
     StateSpace,
     discretize,
+    ingest,
     load_prices,
     load_states,
     resample,
@@ -315,6 +316,44 @@ class TestStateCsvRoundTrip:
         loaded, space = load_states(path)
         assert space.size == 3
         assert list(loaded.indices) == [2, 1, 0]
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ("x,1\nnan,0\n5,-1\n1,1\n", ":3: malformed row 'x,1'"),
+            ("1,1\nnan,0\n5,-1\n", ":4: timestamps must be finite"),
+            ("1,1\n\ninf,0\n", ":5: timestamps must be finite"),
+            ("1,1\n5,-1\n\n4,1\n", ":6: timestamps must be strictly increasing"),
+            ("1,1\n1,0\n", ":4: timestamps must be strictly increasing"),
+        ],
+    )
+    def test_bad_timestamps_rejected_with_line(self, tmp_path, rows, match):
+        path = tmp_path / "states.csv"
+        path.write_text("# meta\ntimestamp,state\n" + rows)
+        with pytest.raises(PriceDataError, match=match):
+            load_states(path)
+
+    def test_iso_timestamps_checked(self, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text("timestamp,state\n2024-01-01T00:00:00,1\n2024-01-01T00:01:00,0\n")
+        assert list(load_states(path)[0].indices) == [2, 1]
+        path.write_text("timestamp,state\n2024-01-01T00:01:00,1\n2024-01-01T00:00:00,0\n")
+        with pytest.raises(PriceDataError, match=":3: timestamps must be strictly increasing"):
+            load_states(path)
+
+    def test_state_only_file_parses_one_column(self, tmp_path, monkeypatch):
+        usecols = []
+        loadtxt = ingest._loadtxt
+
+        def spy(*args, **kwargs):
+            usecols.append(kwargs["usecols"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "_loadtxt", spy)
+        path = tmp_path / "states.csv"
+        path.write_text("state\n1\n0\n-1\n")
+        assert list(load_states(path)[0].indices) == [2, 1, 0]
+        assert usecols == [[0]]
 
     def test_state_column_found_by_name(self, tmp_path):
         path = tmp_path / "states.csv"
