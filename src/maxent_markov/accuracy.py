@@ -316,6 +316,8 @@ def mu_curve(
         raise ValueError("cap must be at least the largest requested sample size")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
 
     if n_states == 2:
         if stratify:

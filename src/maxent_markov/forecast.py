@@ -8,10 +8,16 @@ compared with the fraction of realizations that actually land in each
 centile, giving the tail error used to rank estimators in a rolling
 backtest.
 
-Centiles of a lattice-valued distribution are built by fractional mass
-splitting: boundary atoms are divided so every one-sided centile holds
-exactly one percent of the predicted mass, and realized sums landing on a
-split atom inherit the same fractional weights.
+Centiles of a lattice-valued distribution are shares of cumulative mass:
+an atom of mass ``p`` whose cumulative mass reaches ``C`` spans
+``[C - p, C)``, and each one-sided centile, the span ``[k, k + 1)`` percent
+of the total counted from the bottom or the top, takes the share of that
+span lying in it.  So every one-sided centile holds exactly one percent of
+the predicted mass, a realized sum weighs each centile by its atom's share,
+and a sum the forecast gave zero mass counts in the centile holding its
+cumulative position: the nonrandomized PIT for discrete forecasts (Czado,
+Gneiting and Held, "Predictive model assessment for count data",
+Biometrics 65(4), 2009).
 """
 
 from __future__ import annotations
@@ -135,29 +141,45 @@ def step_distribution(w: StochasticMatrix, origin: int, horizon: int) -> StepDis
     return StepDistribution(horizon, origin, support, masses[0])
 
 
-def _split(mass: np.ndarray, target: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Fill ten bins of exactly ``target`` per row walking atoms in order, ``(B, width, 10)``.
+def _shares(start: np.ndarray, width: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Share of the cumulative-mass span ``[start, start + width)`` in each bin, ``(..., 10)``.
 
-    Rows of ``mass`` (``(B, width)``) are walked from the lowest atom, or
-    the highest with ``reverse``; boundary atoms are split between bins.
+    The bins are ``[k target, (k + 1) target)``, k = 0..9, with ``target``
+    broadcast against ``start``; a zero-width span counts wholly in the
+    bin that holds ``start``, and spans past the tenth bin get no share.
     """
-    out = np.zeros(mass.shape + (N_TAIL_BINS,))
-    bin_idx = np.zeros(mass.shape[0], dtype=np.int64)
-    room = target.copy()
-    for i in range(mass.shape[1] - 1, -1, -1) if reverse else range(mass.shape[1]):
-        remaining = mass[:, i].copy()
-        while True:
-            live = np.flatnonzero((remaining > _DUST) & (bin_idx < N_TAIL_BINS))
-            if live.size == 0:
-                break
-            take = np.minimum(remaining[live], room[live])
-            out[live, i, bin_idx[live]] = take
-            remaining[live] -= take
-            room[live] -= take
-            full = live[room[live] <= 1e-15 * target[live]]
-            bin_idx[full] += 1
-            room[full] = target[full]
-    return out
+    gap = np.arange(N_TAIL_BINS + 1) * target[..., None] - start[..., None]
+    wide = width[..., None] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        filled = np.where(wide, np.clip(gap / width[..., None], 0.0, 1.0), gap > 0.0)
+    return np.diff(filled, axis=-1)
+
+
+def _split(mass: np.ndarray, target: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Mass of each atom in ten bins of exactly ``target`` per row, ``(B, width, 10)``.
+
+    Rows of ``mass`` (``(B, width)``) fill the bins from the lowest atom,
+    or the highest with ``reverse``; boundary atoms are split between bins.
+    """
+    if reverse:
+        return _split(mass[:, ::-1], target)[:, ::-1]
+    return mass[..., None] * _shares(np.cumsum(mass, axis=1) - mass, mass, target[:, None])
+
+
+def _weights(mass: np.ndarray, target: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Per-bin weights of a realized sum on atom ``at[b]`` of each row of ``mass``, ``(B, 10)``.
+
+    The atom's share of each lower bin plus its share of each upper bin, so
+    an atom the prediction split inherits its split and a zero-mass atom
+    counts once on each side where its cumulative position falls.  A sum on
+    an atom of positive mass at most ``_DUST`` gets no weight.
+    """
+    rows = np.arange(mass.shape[0])
+    atom = mass[rows, at]
+    below = np.cumsum(mass, axis=1)[rows, at] - atom
+    above = np.cumsum(mass[:, ::-1], axis=1)[rows, mass.shape[1] - 1 - at] - atom
+    weights = _shares(below, atom, target) + _shares(above, atom, target)
+    return np.where(((atom == 0.0) | (atom > _DUST))[:, None], weights, 0.0)
 
 
 def tail_bins(q: StepDistribution) -> TailBins:
@@ -185,26 +207,14 @@ def symmetrized_centiles(q: StepDistribution) -> TailCentiles:
 def _assign(value: int, bins: TailBins) -> np.ndarray:
     """Per-bin weights credited when a realized sum equals ``value``.
 
-    Sums on a predicted atom inherit its fractional split; sums the
-    prediction gave zero mass are placed by their cumulative position
-    (more extreme than all predicted mass lands in the outermost bin).
+    A value off the support counts as a zero-mass atom inserted where it
+    sorts; ``_weights`` gives the rule.
     """
+    mass = bins.probabilities
     idx = int(np.searchsorted(bins.support, value))
-    if (
-        idx < bins.support.size
-        and bins.support[idx] == value
-        and bins.probabilities[idx] > 0.0
-    ):
-        atom = bins.probabilities[idx]
-        return (bins.lower[idx] + bins.upper[idx]) / atom
-    weights = np.zeros(N_TAIL_BINS)
-    below = float(bins.probabilities[:idx].sum())
-    above = float(bins.probabilities.sum()) - below
-    if below < N_TAIL_BINS * bins.target:
-        weights[min(int(below / bins.target), N_TAIL_BINS - 1)] += 1.0
-    if above < N_TAIL_BINS * bins.target:
-        weights[min(int(above / bins.target), N_TAIL_BINS - 1)] += 1.0
-    return weights
+    if idx == mass.size or bins.support[idx] != value:
+        mass = np.insert(mass, idx, 0.0)
+    return _weights(mass[None], np.array([bins.target]), np.array([idx]))[0]
 
 
 def realized_centile_fractions(
@@ -248,37 +258,6 @@ def tail_error(predicted: TailCentiles, realized: TailCentiles) -> float:
     if np.any(predicted.pi <= 0):
         raise ValueError("relative error undefined: a predicted centile has zero mass")
     return float((np.abs(predicted.pi - realized.pi) / predicted.pi).sum())
-
-
-def _score_stack(
-    states: StateSpace, entries: np.ndarray, origins: np.ndarray, realized: np.ndarray, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted and realized centile masses of a stack of forecasts, each summed over it.
-
-    Forecast ``b`` runs ``entries[b]`` from state ``origins[b]``; its realized
-    sum ``realized[b]`` inherits the split of its atom, and ``_assign``
-    places the sums the forecast gave zero mass.  Sums over the stack add
-    forecast after forecast, in stack order.
-    """
-    support, masses = _step_masses(states, entries, origins, horizon)
-    target = masses.sum(axis=1) / 100.0
-    rows = np.arange(masses.shape[0])
-    at = realized - support[0]
-    atom = masses[rows, at]
-    unseen = np.flatnonzero(atom <= 0.0)
-    lower = _split(masses, target)  # reduced before the upper bins are built
-    predicted = lower.sum(axis=1)
-    hit = lower[rows, at]
-    unseen_lower = lower[unseen]
-    del lower
-    upper = _split(masses, target, reverse=True)
-    predicted += upper.sum(axis=1)
-    hit += upper[rows, at]
-    weights = hit / np.where(atom > 0.0, atom, 1.0)[:, None]
-    for b, low in zip(unseen.tolist(), unseen_lower):
-        bins = TailBins(support, masses[b], low, upper[b], float(target[b]))
-        weights[b] = _assign(int(realized[b]), bins)
-    return np.add.reduce(predicted, axis=0), np.add.reduce(weights, axis=0)
 
 
 def backtest(
@@ -328,7 +307,11 @@ def backtest(
         entries = _window_entries(series, states, m, ends, np.repeat(sizes, counts))
         stacks = np.split(_stochastic_rows(entries, entries.shape), np.cumsum(counts)[:-1])
         for si, (o, stack) in enumerate(zip(origins, stacks)):
+            support, masses = _step_masses(states, stack, series.indices[o], horizon)
+            target = masses.sum(axis=1) / 100.0
             realized = cx[o + horizon + 1] - cx[o + 1]
-            pred, real = _score_stack(states, stack, series.indices[o], realized, horizon)
+            # each forecast predicts 2 target per centile; both sums add forecast after forecast
+            pred = np.full(N_TAIL_BINS, np.cumsum(2 * target)[-1])
+            real = np.add.reduce(_weights(masses, target, realized - support[0]), axis=0)
             delta[m][si] = tail_error(TailCentiles(pred / o.size), TailCentiles(real / o.size))
     return BacktestReport(sizes, delta, counts, horizon, stride)

@@ -257,6 +257,11 @@ class TestMuCurve:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             mu_curve(n_states, [5], grid=6, cap=10, samples=4, replicates=5, workers=workers)
 
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_rejects_sample_counts_below_one(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            mu_curve(3, [5], cap=10, samples=samples, replicates=5)
+
     def test_three_state_reproducible_and_nonincreasing(self):
         kwargs = dict(samples=32, replicates=40, seed=123)
         (a,) = mu_curve(3, [5, 10, 20], **kwargs)

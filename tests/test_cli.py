@@ -156,6 +156,14 @@ class TestSweeps:
                      "--workers", workers, "--output", str(out)]) == EXIT_DATA
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_mucurve_rejects_sample_counts_below_one(self, tmp_path, capsys, samples):
+        out = tmp_path / "never.csv"
+        assert main(["mucurve", "--k", "3", "--n", "5", "--samples", samples,
+                     "--output", str(out)]) == EXIT_DATA
+        assert "samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_on_bad_n(self, tmp_path):
         assert main(["mucurve", "--k", "2", "--n", "abc"]) == EXIT_USAGE
 

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
@@ -470,6 +470,8 @@ def assert_is_maxent_chain(sol, states, target):
 class TestSolverProperties:
     @settings(max_examples=150, deadline=None)
     @given(spaces_and_targets())
+    # targets 1 ulp apart whose multipliers come out 3 ulp inverted
+    @example(case=(StateSpace((-1.2, -0.2, 0.0, 1.6)), -1.919999, [-1.8304, -1.8303999999999998], 2.5599990000000004))
     def test_solutions_are_reversible_maxent_chains(self, case):
         states, low_end, interior, high_end = case
         multipliers = []
@@ -477,8 +479,12 @@ class TestSolverProperties:
             sol = maxent_nstate(states, target)
             assert_is_maxent_chain(sol, states, target)
             multipliers.append(sol.multiplier)
-        # A(lam) is nondecreasing, so sorted targets have sorted multipliers
-        assert all(a <= b for a, b in zip(multipliers, multipliers[1:]))
+        # A(lam) is nondecreasing and each solve settles within 4 ulp * max|x_i x_j| of its
+        # target, so sorted targets can have inverted multipliers only within two such tolerances
+        x = states.as_array()
+        settled = 4 * np.finfo(float).eps * np.abs(np.multiply.outer(x, x)).max()
+        for (ta, la), (tb, lb) in zip(zip(interior, multipliers), zip(interior[1:], multipliers[1:])):
+            assert la <= lb or tb - ta <= 2 * settled
         for target in (low_end, high_end):  # at the ends: a solution, or the typed error
             try:
                 sol = maxent_nstate(states, target)
