@@ -52,7 +52,6 @@ from .forecast import (
     realized_centile_fractions,
     step_distribution,
     symmetrized_centiles,
-    tail_bins,
     tail_error,
 )
 from .ingest import (
@@ -135,7 +134,6 @@ __all__ = [
     "stationary_distribution",
     "step_distribution",
     "symmetrized_centiles",
-    "tail_bins",
     "tail_error",
     "to_returns",
     "toy_matrix",

@@ -348,8 +348,11 @@ def mu_curve(
         raise ValueError("mu_curve supports 2 or 3 states")
 
     curves = []
+    ranked = np.sort(rates) if stratify else None
     for q in range(1, 6) if stratify else [None]:
-        # stratum 5, like the unstratified curve, is the whole population
-        members = ncs[rates >= np.quantile(rates, 1.0 - 0.2 * q)] if q and q < 5 else ncs
+        # rates at or above the linear (1 - q/5)-quantile of the N rates, which lies between
+        # order statistics floor and ceil of (N - 1)(5 - q)/5; stratum 5, like the unstratified
+        # curve, is the whole population (np.quantile would import numpy.ma)
+        members = ncs[rates >= ranked[-(-(rates.size - 1) * (5 - q) // 5)]] if q and q < 5 else ncs
         curves.append(MuCurve(sizes, np.array([np.mean(members >= n) for n in sizes]), q))
     return curves

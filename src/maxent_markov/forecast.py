@@ -79,22 +79,6 @@ class TailCentiles:
 
 
 @dataclass(frozen=True)
-class TailBins:
-    """Fractional assignment of predicted mass to the ten tail centiles.
-
-    ``lower[i, k]`` is the predicted mass of atom ``i`` allotted to the
-    k-th lowest centile (``upper`` counts from the top); each one-sided
-    centile holds exactly one percent of the predicted mass.
-    """
-
-    support: np.ndarray
-    probabilities: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    target: float
-
-
-@dataclass(frozen=True)
 class BacktestReport:
     """Average tail errors per estimation method and window size."""
 
@@ -150,20 +134,9 @@ def _shares(start: np.ndarray, width: np.ndarray, target: np.ndarray) -> np.ndar
     """
     gap = np.arange(N_TAIL_BINS + 1) * target[..., None] - start[..., None]
     wide = width[..., None] > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         filled = np.where(wide, np.clip(gap / width[..., None], 0.0, 1.0), gap > 0.0)
     return np.diff(filled, axis=-1)
-
-
-def _split(mass: np.ndarray, target: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Mass of each atom in ten bins of exactly ``target`` per row, ``(B, width, 10)``.
-
-    Rows of ``mass`` (``(B, width)``) fill the bins from the lowest atom,
-    or the highest with ``reverse``; boundary atoms are split between bins.
-    """
-    if reverse:
-        return _split(mass[:, ::-1], target)[:, ::-1]
-    return mass[..., None] * _shares(np.cumsum(mass, axis=1) - mass, mass, target[:, None])
 
 
 def _weights(mass: np.ndarray, target: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -182,39 +155,34 @@ def _weights(mass: np.ndarray, target: np.ndarray, at: np.ndarray) -> np.ndarray
     return np.where(((atom == 0.0) | (atom > _DUST))[:, None], weights, 0.0)
 
 
-def tail_bins(q: StepDistribution) -> TailBins:
-    """Centile cut structure of a predicted distribution.
-
-    The k-th lower bin collects predicted mass from the bottom of the
-    support, the k-th upper bin from the top, splitting boundary atoms so
-    each bin holds exactly one percent of the total mass.
-    """
-    mass = q.probabilities
-    target = np.array([q.total / 100.0])
-    if target[0] <= 0:
+def _target(q: StepDistribution) -> float:
+    """Mass of one one-sided centile: one percent of the forecast's total."""
+    total = q.total
+    if total <= 0:
         raise ValueError("distribution carries no mass")
-    lower = _split(mass[None], target)[0]
-    upper = _split(mass[None], target, reverse=True)[0]
-    return TailBins(q.support, mass, lower, upper, float(target[0]))
+    return total / 100.0
 
 
 def symmetrized_centiles(q: StepDistribution) -> TailCentiles:
-    """Predicted symmetrized tail centiles (k-th lowest plus k-th highest)."""
-    bins = tail_bins(q)
-    return TailCentiles(bins.lower.sum(axis=0) + bins.upper.sum(axis=0))
+    """Predicted symmetrized tail centiles (k-th lowest plus k-th highest).
+
+    Each one-sided centile holds one percent of the forecast's mass, so
+    each symmetrized centile is two percent of it.
+    """
+    return TailCentiles(np.full(N_TAIL_BINS, 2 * _target(q)))
 
 
-def _assign(value: int, bins: TailBins) -> np.ndarray:
+def _assign(value: int, q: StepDistribution) -> np.ndarray:
     """Per-bin weights credited when a realized sum equals ``value``.
 
     A value off the support counts as a zero-mass atom inserted where it
     sorts; ``_weights`` gives the rule.
     """
-    mass = bins.probabilities
-    idx = int(np.searchsorted(bins.support, value))
-    if idx == mass.size or bins.support[idx] != value:
+    mass = q.probabilities
+    idx = int(np.searchsorted(q.support, value))
+    if idx == mass.size or q.support[idx] != value:
         mass = np.insert(mass, idx, 0.0)
-    return _weights(mass[None], np.array([bins.target]), np.array([idx]))[0]
+    return _weights(mass[None], np.array([_target(q)]), np.array([idx]))[0]
 
 
 def realized_centile_fractions(
@@ -222,31 +190,31 @@ def realized_centile_fractions(
     states: StateSpace,
     origins: Sequence[int],
     horizon: int,
-    bins: TailBins | Sequence[TailBins],
+    forecasts: StepDistribution | Sequence[StepDistribution],
 ) -> TailCentiles:
     """Average realized tail-bin occupation over forecast origins.
 
-    ``bins`` gives the predicted centile structure, either one shared
+    ``forecasts`` gives the predicted sum distribution, either one shared
     instance or one per origin.  Origins without ``horizon`` future
     observations are skipped and counted.
     """
-    if isinstance(bins, TailBins):
-        bins_per_origin: Sequence[TailBins] = [bins] * len(origins)
+    if isinstance(forecasts, StepDistribution):
+        per_origin: Sequence[StepDistribution] = [forecasts] * len(origins)
     else:
-        bins_per_origin = list(bins)
-        if len(bins_per_origin) != len(origins):
-            raise ValueError("need exactly one bin structure per origin")
+        per_origin = list(forecasts)
+        if len(per_origin) != len(origins):
+            raise ValueError("need exactly one forecast per origin")
     x = np.rint(series.values(states)).astype(np.int64)
 
     acc = np.zeros(N_TAIL_BINS)
     used = 0
     skipped = 0
-    for origin, b in zip(origins, bins_per_origin):
+    for origin, q in zip(origins, per_origin):
         if origin < 0 or origin + horizon >= len(series):
             skipped += 1
             continue
         realized = int(x[origin + 1 : origin + horizon + 1].sum())
-        acc += _assign(realized, b)
+        acc += _assign(realized, q)
         used += 1
     if used == 0:
         raise ValueError("no origin had enough future data")

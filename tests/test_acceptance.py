@@ -31,7 +31,6 @@ from maxent_markov import (
     stationary_distribution,
     step_distribution,
     symmetrized_centiles,
-    tail_bins,
     tail_error,
     tracking_experiment,
 )
@@ -261,8 +260,7 @@ def test_criterion_8_realized_fraction_self_consistency():
             break
     assert len(origins) == 10_000
     q = step_distribution(w, origin_state, horizon)
-    bins = tail_bins(q)
-    realized = realized_centile_fractions(series, TERNARY, origins, horizon, bins)
+    realized = realized_centile_fractions(series, TERNARY, origins, horizon, q)
     se = math.sqrt(0.02 * 0.98 / len(origins))
     max_dev = float(np.abs(realized.pi - 0.02).max())
     delta = tail_error(TailCentiles(np.full(10, 0.02)), realized)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +285,29 @@ class TestMuCurve:
         full = curves[-1]
         (unstratified,) = mu_curve(3, [5, 10], samples=60, replicates=30, seed=5)
         np.testing.assert_array_equal(full.fractions, unstratified.fractions)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_strata_are_the_rates_at_or_above_each_quintile(self, monkeypatch, ties):
+        # distinct critical sizes 2..N+1, all scanned: a stratum's curve pins down its member set
+        rng = np.random.default_rng(11)
+        for count in (5, 6, 11, 16, 23, 40):
+            rates = rng.integers(0, 4, count) * 0.1 if ties else rng.random(count)
+            ncs = rng.permutation(count) + 2.0
+            judged = lambda seed, **_: (ncs[seed.spawn_key[-1]], rates[seed.spawn_key[-1]])  # matrix i from seed i
+            monkeypatch.setattr(accuracy, "_judge_matrix", judged)
+            sizes = np.arange(2, count + 2)
+            curves = mu_curve(3, sizes, samples=count, cap=count + 1, stratify=True)
+            for curve in curves[:4]:
+                members = ncs[rates >= np.quantile(rates, 1.0 - 0.2 * curve.stratum)]
+                assert curve.fractions.tolist() == [np.mean(members >= n) for n in sizes]
+
+    def test_stratified_curves_leave_numpy_ma_out(self):
+        code = (
+            "import sys; from maxent_markov import mu_curve; "
+            "mu_curve(3, [5, 10], samples=8, replicates=10, stratify=True); print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_lattice_entries_are_exact_solves_at_every_pair_sum(self, monkeypatch):
         seen = []

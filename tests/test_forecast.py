@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from maxent_markov import (
     simulate,
     step_distribution,
     symmetrized_centiles,
-    tail_bins,
     tail_error,
 )
 from maxent_markov import forecast
@@ -26,17 +26,19 @@ from maxent_markov.estimators import METHODS, _window_entries
 from maxent_markov.forecast import (
     N_TAIL_BINS,
     StepDistribution,
-    TailBins,
     TailCentiles,
     _assign,
-    _split,
     _step_masses,
+    _weights,
 )
 from maxent_markov.nonstationary import autocorrelation_cycle, generate_time_varying
 
 from conftest import random_irreducible
 
 TERNARY = StateSpace.ternary()
+
+# predicted mass of each atom in the ten lower and ten upper bins, ``(width, 10)`` each
+WalkedBins = namedtuple("WalkedBins", "support probabilities lower upper target")
 
 
 def split_one_side(mass, order, target):
@@ -65,7 +67,7 @@ def scalar_bins(q):
     n = q.probabilities.size
     lower = split_one_side(q.probabilities, range(n), target)
     upper = split_one_side(q.probabilities, range(n - 1, -1, -1), target)
-    return TailBins(q.support, q.probabilities, lower, upper, target)
+    return WalkedBins(q.support, q.probabilities, lower, upper, target)
 
 
 def walked_assign(value, bins):
@@ -123,9 +125,8 @@ def per_origin_backtest(series, states, sizes, horizon, methods, stride):
                 else:
                     entries = np.full((k, k), 1.0 / k)
                 q = step_distribution(StochasticMatrix(entries, states), int(series.indices[t]), horizon)
-                bins = tail_bins(q)
-                pred += 2 * bins.target
-                real += _assign(int(x[t + 1 : t + horizon + 1].sum()), bins)
+                pred += symmetrized_centiles(q).pi
+                real += _assign(int(x[t + 1 : t + horizon + 1].sum()), q)
             used = len(origins)
             delta[m].append(tail_error(TailCentiles(pred / used), TailCentiles(real / used)))
     return delta
@@ -144,6 +145,16 @@ def matrices_with_zeros(rng, k, count):
     entries[rng.random((count, k, k)) < 0.35] = 0.0
     entries[..., 0] += entries.sum(axis=-1) == 0.0  # no empty row
     return entries / entries.sum(axis=-1, keepdims=True)
+
+
+def step_rows_with_zeros(rng, states, horizon, count):
+    """Step-sum rows of matrices with exact zeros, and as many raw rows with zero atoms."""
+    entries = matrices_with_zeros(rng, states.size, count)
+    _, masses = _step_masses(states, entries, rng.integers(states.size, size=count), horizon)
+    raw = rng.dirichlet(np.ones(masses.shape[1]), size=count) * (rng.random((count, 1)) + 0.5)
+    raw[rng.random(raw.shape) < 0.3] = 0.0
+    raw[:, 0] += raw.sum(axis=1) == 0.0
+    return masses, raw
 
 
 def enumerable_horizon(k, horizon):
@@ -253,26 +264,29 @@ class TestBatchedCore:
     @settings(max_examples=60, deadline=None)
     @given(integer_spaces(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_splitter_equals_scalar_reference(self, states, horizon, count, seed):
-        rng = np.random.default_rng(seed)
-        entries = matrices_with_zeros(rng, states.size, count)
-        _, masses = _step_masses(states, entries, rng.integers(states.size, size=count), horizon)
-        raw = rng.dirichlet(np.ones(masses.shape[1]), size=count) * (rng.random((count, 1)) + 0.5)
-        raw[rng.random(raw.shape) < 0.3] = 0.0
-        raw[:, 0] += raw.sum(axis=1) == 0.0
-        for mass in (masses, raw):
+        # an atom's mass times its realized weights is its split over both sides
+        for mass in step_rows_with_zeros(np.random.default_rng(seed), states, horizon, count):
             target = mass.sum(axis=1) / 100.0
-            lower, upper = _split(mass, target), _split(mass, target, reverse=True)
             width = mass.shape[1]
             for b in range(count):
-                # the closed form and the walk round differently: 1e-13 of a bin apart
+                weights = _weights(np.tile(mass[b], (width, 1)), np.full(width, target[b]), np.arange(width))
                 walked = split_one_side(mass[b], range(width), target[b])
-                np.testing.assert_allclose(lower[b], walked, rtol=0, atol=1e-13 * target[b])
-                walked = split_one_side(mass[b], range(width - 1, -1, -1), target[b])
-                np.testing.assert_allclose(upper[b], walked, rtol=0, atol=1e-13 * target[b])
-            np.testing.assert_allclose(lower.sum(axis=1), np.repeat(target[:, None], 10, 1), rtol=1e-12)
-            np.testing.assert_allclose(upper.sum(axis=1), np.repeat(target[:, None], 10, 1), rtol=1e-12)
-            total = (lower.sum(axis=(1, 2)) + upper.sum(axis=(1, 2))) / mass.sum(axis=1)
-            np.testing.assert_allclose(total, 0.2, atol=1e-12)
+                walked += split_one_side(mass[b], range(width - 1, -1, -1), target[b])
+                # the closed form and the walk round differently: 1e-13 of a bin apart
+                np.testing.assert_allclose(mass[b][:, None] * weights, walked, rtol=0, atol=1e-13 * target[b])
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_spaces(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_weighted_realized_atoms_fill_each_centile_with_two_targets(self, states, horizon, count, seed):
+        # sum_i mass_i weights_i = 2 target in every bin: why each predicted centile is 2 target
+        for mass in step_rows_with_zeros(np.random.default_rng(seed), states, horizon, count):
+            width = mass.shape[1]
+            for row in mass:
+                target = row.sum() / 100.0
+                weights = _weights(np.tile(row, (width, 1)), np.full(width, target), np.arange(width))
+                np.testing.assert_allclose(row @ weights, 2 * target, rtol=1e-13, atol=0)
+                q = StepDistribution(horizon, 0, np.arange(width), row)
+                assert symmetrized_centiles(q).pi.tolist() == [2 * target] * N_TAIL_BINS
 
     # values within 2: (-3, -2, 0, 2, 3) and (-3, -2, 1, 2, 3) raise ConvergenceError at the clamped upper end
     @settings(max_examples=40, deadline=None)
@@ -326,33 +340,40 @@ class TestCumulativeShares:
         for _ in range(200):
             mass = rng.dirichlet(np.full(9, 0.3)) * rng.uniform(0.5, 1.5)
             mass[rng.random(9) < 0.3] *= 1e-9  # tiny atoms, where an overlap difference loses digits
-            bins = tail_bins(StepDistribution(4, 0, np.arange(-4, 5), mass))
-            ends = np.cumsum(mass) / bins.target
-            starts = ends - mass / bins.target
+            q = StepDistribution(4, 0, np.arange(-4, 5), mass)
+            target = q.total / 100.0
+            ends = np.cumsum(mass) / target
+            starts = ends - mass / target
             inside = (np.floor(starts + 1e-6) == np.floor(ends - 1e-6)) & (ends < N_TAIL_BINS - 1e-6)
             far = ends[-1] - ends >= N_TAIL_BINS + 1e-6  # the mass above starts past the upper bins
             for i in np.flatnonzero(inside & far & (mass > 0)):
                 expected = np.zeros(N_TAIL_BINS)
                 expected[int(starts[i] + 1e-6)] = 1.0
-                assert np.array_equal(_assign(i - 4, bins), expected)
+                assert np.array_equal(_assign(i - 4, q), expected)
                 hits += 1
         assert hits > 50
 
     def test_unseen_sum_past_the_tenth_bin_gets_nothing_from_that_side(self):
         q = StepDistribution(1, 0, np.array([-1, 0, 1]), np.array([0.05, 0.0, 0.95]))
-        weights = _assign(0, tail_bins(q))
+        weights = _assign(0, q)
         # 5 % below: the sixth lower bin; 95 % above: past the ten upper bins
         assert weights.tolist() == [0.0] * 5 + [1.0] + [0.0] * 4
         q = StepDistribution(1, 0, np.array([-1, 0, 1]), np.array([0.5, 0.0, 0.5]))
-        assert _assign(0, tail_bins(q)).tolist() == [0.0] * N_TAIL_BINS
+        assert _assign(0, q).tolist() == [0.0] * N_TAIL_BINS
 
     @pytest.mark.xfail(strict=True, reason="a sum on an atom of mass at most _DUST gets weight 0 (ROADMAP item 5)")
     def test_sum_on_a_dust_atom_counts_like_an_unseen_sum(self):
         # today such an origin is dropped from the pooled fractions but still counted
         support = np.array([-1, 0, 1])
-        dust = tail_bins(StepDistribution(1, 0, support, np.array([0.05, 1e-19, 0.95])))
-        unseen = tail_bins(StepDistribution(1, 0, support, np.array([0.05, 0.0, 0.95])))
+        dust = StepDistribution(1, 0, support, np.array([0.05, 1e-19, 0.95]))
+        unseen = StepDistribution(1, 0, support, np.array([0.05, 0.0, 0.95]))
         assert _assign(0, dust).sum() == _assign(0, unseen).sum() == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_on_a_subnormal_atom_warns_nothing(self):
+        # dividing the bin gaps by a subnormal width overflows; the clip and the dust rule give 0 anyway
+        weights = _weights(np.array([[0.3, 1e-310, 0.7]]), np.array([0.01]), np.array([1]))
+        assert weights.tolist() == [[0.0] * N_TAIL_BINS]
 
     def test_off_support_values_follow_the_walked_rule(self, rng):
         for _ in range(50):
@@ -361,7 +382,7 @@ class TestCumulativeShares:
             mass[0] += mass.sum() == 0.0
             q = StepDistribution(1, 0, np.array([-3, -1, 2, 4]), mass)
             for value in (-5, -2, 0, 1, 3, 6):
-                assert np.array_equal(_assign(value, tail_bins(q)), walked_assign(value, scalar_bins(q)))
+                assert np.array_equal(_assign(value, q), walked_assign(value, scalar_bins(q)))
 
 
 class TestSymmetrizedCentiles:
@@ -377,36 +398,40 @@ class TestSymmetrizedCentiles:
         q = step_distribution(w, 0, 6)
         np.testing.assert_allclose(symmetrized_centiles(q).pi, 0.02, atol=1e-12)
 
+    def test_massless_distribution_rejected(self):
+        q = StepDistribution(1, 0, np.array([-1, 0, 1]), np.zeros(3))
+        with pytest.raises(ValueError, match="no mass"):
+            symmetrized_centiles(q)
+        with pytest.raises(ValueError, match="no mass"):
+            _assign(0, q)
+
     def test_symmetric_distribution_splits_evenly(self):
         w = StochasticMatrix.uniform(TERNARY)
         q = step_distribution(w, 1, 2)
-        bins = tail_bins(q)
-        np.testing.assert_allclose(bins.lower.sum(axis=0), 0.01, atol=1e-15)
-        np.testing.assert_allclose(bins.upper.sum(axis=0), 0.01, atol=1e-15)
-        # mirror symmetry of the atom split: q(k) = q(-k)
-        np.testing.assert_allclose(bins.lower, bins.upper[::-1], atol=1e-15)
+        np.testing.assert_allclose(symmetrized_centiles(q).pi, 0.02, atol=1e-15)
+        # mirror symmetry of the atom split, q(k) = q(-k): a sum and its negation weigh the same
+        for k in (0, 1, 2):
+            np.testing.assert_allclose(_assign(k, q), _assign(-k, q), atol=1e-15)
 
     def test_five_atom_hand_quantile_oracle(self):
         # uniform two-step distribution: masses (1/9, 2/9, 3/9, 2/9, 1/9) on
         # sums -2..2; ten lower centiles of 0.01 each all fit inside the
-        # lowest atom (mass 1/9 > 0.1), likewise the upper ones in the top atom
+        # lowest atom (mass 1/9 > 0.1), likewise the upper ones in the top atom,
+        # so a realized -2 or 2 weighs each centile 0.01 / (1/9) and the rest nothing
         w = StochasticMatrix.uniform(TERNARY)
         q = step_distribution(w, 1, 2)
-        bins = tail_bins(q)
-        np.testing.assert_allclose(bins.lower[0], 0.01, atol=1e-14)
-        np.testing.assert_allclose(bins.lower[1:], 0.0, atol=1e-14)
-        np.testing.assert_allclose(bins.upper[-1], 0.01, atol=1e-14)
-        np.testing.assert_allclose(bins.upper[:-1], 0.0, atol=1e-14)
+        np.testing.assert_allclose(_assign(-2, q), 0.09, atol=1e-14)
+        np.testing.assert_allclose(_assign(2, q), 0.09, atol=1e-14)
+        for value in (-1, 0, 1):
+            np.testing.assert_allclose(_assign(value, q), 0.0, atol=1e-14)
 
     def test_atom_straddling_a_boundary_is_split(self):
-        # masses (0.015, 0.985): the first atom fills centile 1 and part of 2
-        from maxent_markov.forecast import StepDistribution
-
+        # masses (0.015, 0.985): the first atom fills lower centile 1 and half of 2;
+        # the second fills the other half and the rest, and all ten upper centiles
         q = StepDistribution(1, 0, np.array([-1, 1]), np.array([0.015, 0.985]))
-        bins = tail_bins(q)
-        assert bins.lower[0, 0] == pytest.approx(0.01, abs=1e-15)
-        assert bins.lower[0, 1] == pytest.approx(0.005, abs=1e-15)
-        assert bins.lower[1, 1] == pytest.approx(0.005, abs=1e-15)
+        split = q.probabilities[:, None] * np.array([_assign(-1, q), _assign(1, q)])
+        np.testing.assert_allclose(split[0], [0.01, 0.005] + [0.0] * 8, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(split[1], [0.01, 0.015] + [0.02] * 8, rtol=0, atol=1e-15)
 
 
 class TestTailError:
@@ -443,22 +468,16 @@ class TestRealizedFractions:
     def test_single_origin_in_lowest_centile(self, rng):
         # predicted distribution whose lowest atom has < 1% mass: a realized
         # sum there lies strictly inside the lowest centile
-        from maxent_markov.forecast import StepDistribution
-
         q = StepDistribution(2, 0, np.array([-2, -1, 0, 1, 2]),
                              np.array([0.005, 0.095, 0.8, 0.095, 0.005]))
-        bins = tail_bins(q)
         series = StateSequence(np.array([0, 0, 0]), 3)  # sums to -2 after origin 0
-        result = realized_centile_fractions(series, TERNARY, [0], 2, bins)
+        result = realized_centile_fractions(series, TERNARY, [0], 2, q)
         assert result.pi[0] == pytest.approx(1.0)
         np.testing.assert_allclose(result.pi[1:], 0.0, atol=1e-15)
 
     def test_split_atom_inherits_weights(self):
-        from maxent_markov.forecast import StepDistribution
-
         q = StepDistribution(1, 0, np.array([-1, 1]), np.array([0.015, 0.985]))
-        bins = tail_bins(q)
-        weights = _assign(-1, bins)
+        weights = _assign(-1, q)
         # the atom's mass 0.015 was split 0.01 / 0.005 between bins 1 and 2
         assert weights[0] == pytest.approx(0.01 / 0.015)
         assert weights[1] == pytest.approx(0.005 / 0.015)
@@ -467,8 +486,7 @@ class TestRealizedFractions:
         w = random_irreducible(rng, 3)
         series = simulate(w, Distribution.uniform(3), 30, seed=1)
         q = step_distribution(w, 0, 8)
-        bins = tail_bins(q)
-        result = realized_centile_fractions(series, TERNARY, [0, 5, 28], 8, bins)
+        result = realized_centile_fractions(series, TERNARY, [0, 5, 28], 8, q)
         assert result.skipped == 1  # origin 28 has no 8-step future
 
     def test_self_consistency_monte_carlo(self, rng):
@@ -486,8 +504,7 @@ class TestRealizedFractions:
                 last = t
         origins = origins[:8000]
         q = step_distribution(w, origin_state, horizon)
-        bins = tail_bins(q)
-        result = realized_centile_fractions(series, TERNARY, origins, horizon, bins)
+        result = realized_centile_fractions(series, TERNARY, origins, horizon, q)
         n = len(origins)
         se = math.sqrt(0.02 * 0.98 / n)
         assert np.abs(result.pi - 0.02).max() < 3 * se + 1e-12
@@ -497,7 +514,7 @@ class TestRealizedFractions:
         series = simulate(w, Distribution.uniform(3), 50, seed=2)
         q = step_distribution(w, 0, 4)
         with pytest.raises(ValueError):
-            realized_centile_fractions(series, TERNARY, [0, 1], 4, [tail_bins(q)])
+            realized_centile_fractions(series, TERNARY, [0, 1], 4, [q])
 
 
 class TestBacktest:
@@ -507,11 +524,11 @@ class TestBacktest:
         w = random_irreducible(rng, 3)
         horizon = 5
         series = simulate(w, Distribution.uniform(3), 60_000, seed=3)
-        bins_by_state = {s: tail_bins(step_distribution(w, s, horizon)) for s in range(3)}
+        by_state = {s: step_distribution(w, s, horizon) for s in range(3)}
 
         def delta_over(origins):
-            bins = [bins_by_state[int(series.indices[t])] for t in origins]
-            realized = realized_centile_fractions(series, TERNARY, origins, horizon, bins)
+            forecasts = [by_state[int(series.indices[t])] for t in origins]
+            realized = realized_centile_fractions(series, TERNARY, origins, horizon, forecasts)
             return tail_error(TailCentiles(np.full(10, 0.02)), realized)
 
         few = delta_over(list(range(0, 1000, horizon)))
@@ -541,9 +558,9 @@ class TestBacktest:
             origins = range(n - 1, len(series) - horizon, stride)
             for t in origins:
                 fitted = maxent_estimate(series.slice(t - n + 1, t + 1), TERNARY).matrix
-                bins = tail_bins(step_distribution(fitted, int(series.indices[t]), horizon))
-                pred += 2 * bins.target
-                real += _assign(int(x[t + 1 : t + horizon + 1].sum()), bins)
+                q = step_distribution(fitted, int(series.indices[t]), horizon)
+                pred += symmetrized_centiles(q).pi
+                real += _assign(int(x[t + 1 : t + horizon + 1].sum()), q)
             used = len(origins)
             expected = tail_error(TailCentiles(pred / used), TailCentiles(real / used))
             assert report.delta["maxent"][si] == expected
