@@ -269,13 +269,14 @@ def _walk(rows: np.ndarray, start: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF paths, one per row of the uniforms ``u``, shape ``u.shape``.
 
     ``rows`` is one ``(K, K)`` matrix for every step or one per step,
-    ``(n - 1, K, K)``.  A uniform draws the number of cumulative entries
-    ``<= u``, capped at ``K - 1`` by counting only the first ``K - 1``.
-    Vectorized comparisons build every step's next-state table; the loop
-    over time is one gather per step.
+    ``(n - 1, K, K)``.  ``start`` is one ``(K,)`` mass for every path or
+    one per path, ``(R, K)``.  A uniform draws the number of cumulative
+    entries ``<= u``, capped at ``K - 1`` by counting only the first
+    ``K - 1``.  Vectorized comparisons build every step's next-state
+    table; the loop over time is one gather per step.
     """
     r, n = u.shape
-    k = start.size
+    k = start.shape[-1]
     offsets = np.arange(r) * k  # states as flat indices replicate * K + state
     cum = _cdf(rows).reshape(-1, k, k).transpose(1, 2, 0)[:, :, None]  # (from, to, 1, step)
     counts = np.zeros((k, r, n - 1), dtype=np.int64)
@@ -283,7 +284,7 @@ def _walk(rows: np.ndarray, start: np.ndarray, u: np.ndarray) -> np.ndarray:
         counts += cum[:, j] <= u[:, 1:]
     table = np.add(counts.transpose(2, 1, 0), offsets[:, None], order="C")
     flat = np.empty((n, r), dtype=np.int64)
-    flat[0] = cur = offsets + (_cdf(start)[:-1] <= u[:, :1]).sum(axis=1)
+    flat[0] = cur = offsets + (_cdf(start)[..., :-1] <= u[:, :1]).sum(axis=1)
     for t, step in enumerate(table.reshape(n - 1, r * k), 1):
         flat[t] = cur = step[cur]
     flat -= offsets

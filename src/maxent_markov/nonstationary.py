@@ -30,7 +30,7 @@ from .estimators import sliding_window
 from .solver import _maxent_batch, feasible_range
 
 TRACKING_METHODS = ("maxent", "sampling")
-_BLOCK_STEPS = 8192  # steps walked per block: bounds the per-step rows held at once
+_BLOCK_CELLS = 8192  # (seed, step) cells walked per block: bounds the rows and uniforms held at once
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,42 @@ def autocorrelation_cycle(
     return TimeVaryingMatrix(table, states)
 
 
+def _paths(
+    process: TimeVaryingMatrix,
+    length: int,
+    seeds,
+    start: Distribution | None = None,
+) -> np.ndarray:
+    """Paths of ``process``, one row per seed, walked together: shape ``(R, length)``.
+
+    Row ``i`` is the path that ``generate_time_varying`` samples for
+    ``seeds[i]``: each seed's generator draws the start uniform, then one
+    uniform per step.  Blocks of at most ``_BLOCK_CELLS`` (seed, step)
+    cells are walked at once, with their uniforms drawn per block; each
+    block starts every row from the state the previous block ended in.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if start is None:
+        start = stationary_distribution(process.at(0))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    steps = max(min(_BLOCK_CELLS // len(rngs), length - 1), 1)
+    paths = np.empty((len(rngs), length), dtype=np.int64)
+    u = np.empty((len(rngs), steps + 1))
+    u[:, 0] = [rng.random() for rng in rngs]  # later blocks start from a point mass: any u draws it
+    mass = start.mass
+    for a in range(0, max(length - 1, 1), steps):
+        b = min(a + steps, length - 1)
+        for row, rng in zip(u, rngs):
+            rng.random(out=row[1 : b - a + 1])
+        paths[:, a : b + 1] = _walk(process.entries(np.arange(a, b)), mass, u[:, : b - a + 1])
+        mass = np.eye(process.states.size)[paths[:, b]]
+    return paths
+
+
 def generate_time_varying(
     process: TimeVaryingMatrix,
     length: int,
@@ -140,18 +176,7 @@ def generate_time_varying(
     The initial state is drawn from ``start`` (default: the stationary
     distribution of the matrix at time zero, which removes the transient).
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if start is None:
-        start = stationary_distribution(process.at(0))
-    u = np.random.default_rng(seed).random((1, length))
-    path = np.empty(length, dtype=np.int64)
-    mass = start.mass
-    for a in range(0, max(length - 1, 1), _BLOCK_STEPS):  # the rows of one block at a time
-        b = min(a + _BLOCK_STEPS, length - 1)
-        path[a : b + 1] = _walk(process.entries(np.arange(a, b)), mass, u[:, a : b + 1])[0]
-        mass = np.eye(process.states.size)[path[b]]  # a point start draws this state for any u
-    return StateSequence(path, process.states.size)
+    return StateSequence(_paths(process, length, [seed], start)[0], process.states.size)
 
 
 def generate_nonstationary(period: float, length: int, seed: int) -> StateSequence:
@@ -164,30 +189,28 @@ def tracking_experiment(
 ) -> TrackingReport:
     """Score window estimators of the drifting low-state stay probability.
 
-    For every seed a fresh realization is generated; estimates at time
-    ``t`` use the trailing window ending at ``t`` (causal alignment) and
+    Every seed's realization comes from one stacked walk; estimates at
+    time ``t`` use the trailing window ending at ``t`` (causal alignment) and
     are compared with the instantaneous true coefficient.  Mean absolute
     errors are reported per seed and pooled.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
     if length <= window:
         raise ValueError("length must exceed the window")
-    states = StateSpace.binary()
+    process = toy_process(period)
     times = np.arange(window - 1, length)
-    truth = toy_process(period).entries(times)[:, 0, 0]
+    truth = process.entries(times)[:, 0, 0]
+    paths = _paths(process, length, seeds)
 
     sums = {m: np.zeros(times.size) for m in TRACKING_METHODS}
-    seed_mae = {m: np.empty(len(seeds)) for m in TRACKING_METHODS}
-    for i, seed in enumerate(seeds):
-        series = generate_nonstationary(period, length, seed)
+    seed_mae = {m: np.empty(len(paths)) for m in TRACKING_METHODS}
+    for i, path in enumerate(paths):
+        series = StateSequence(path, process.states.size)
         for method in TRACKING_METHODS:
-            estimate = sliding_window(series, window, method, states)
+            estimate = sliding_window(series, window, method, process.states)
             trace = estimate.entries[:, 0, 0]
             sums[method] += trace
             seed_mae[method][i] = float(np.abs(trace - truth).mean())
 
-    estimates = {m: sums[m] / len(seeds) for m in TRACKING_METHODS}
+    estimates = {m: sums[m] / len(paths) for m in TRACKING_METHODS}
     mae = {m: float(seed_mae[m].mean()) for m in TRACKING_METHODS}
     return TrackingReport(times, truth, estimates, mae, seed_mae)

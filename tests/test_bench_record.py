@@ -45,3 +45,15 @@ def test_revision_marks_a_changed_tree_dirty(tmp_path):
     assert clean and head.startswith(clean)
     (tmp_path / "f").write_text("b\n")
     assert bench_record.revision(tmp_path) == clean + "-dirty"
+
+
+def test_lower_in_counts_rounds_where_the_change_median_is_lower():
+    def run(run_s, rss):
+        return {"metrics": {"run_s": {"median": run_s}, "peak_rss_mb": {"median": rss}}}
+
+    record = {"sides": {
+        "parent": {"workloads": {"w": [run(1.0, 40.0), run(2.0, 40.0), run(3.0, 40.0)]}},
+        "change": {"workloads": {"w": [run(0.5, 40.0), run(2.0, 39.0), run(1.0, 41.0)]}},
+    }}
+    # a tie is not lower; rounds pair by position, not by value
+    assert bench_record.lower_in(record) == {"w": {"run_s": 2, "peak_rss_mb": 1}}

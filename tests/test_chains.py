@@ -368,6 +368,16 @@ class TestSamplerCore:
         assert np.all(per_step[steps, paths[:, :-1], paths[:, 1:]] > 0)
 
     @settings(max_examples=100, deadline=None)
+    @given(walks(), st.data())
+    def test_per_row_starts_match_per_step_searchsorted(self, case, data):
+        rows, _, u = case
+        starts = data.draw(masses(rows.shape[-1], u.shape[0]))
+        paths = _walk(rows, starts, u)
+        assert paths.shape == u.shape
+        for path, start, uniforms in zip(paths, starts, u):
+            np.testing.assert_array_equal(path, oracle_walk(rows, start, uniforms))
+
+    @settings(max_examples=100, deadline=None)
     @given(walks())
     def test_batch_rows_equal_single_walks(self, case):
         rows, start, u = case

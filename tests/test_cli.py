@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -230,6 +231,39 @@ class TestSimulateAndTrack:
         assert metadata["mae_maxent"] > 0
         assert metadata["mae_sampling"] > 0
         assert metadata["seeds"] == [0, 1]
+
+    # sha256 of the artifact body (every line after the metadata line) and the
+    # metadata's MAEs; the two long tracks cross stacked-walk block boundaries
+    # (three seeds at 2,730 steps, 25 seeds at 327) and the long simulate
+    # crosses two 8,192-step ones
+    PINNED = [
+        (["track", "--length", "400", "--samples", "3", "--seed", "5"],
+         "274b76ec7f3f1c70648b12eeb2b0faab1aa5a4f3a723014acb0b052110eeab74",
+         (0.06069566641730489, 0.08920967420485582)),
+        (["track", "--length", "3000", "--samples", "3", "--seed", "5", "--window", "40"],
+         "109f1050177f14d04250bd233bdfe55ce94e69586c524f8a3d34e18e7c0c1324",
+         (0.0759668972772549, 0.08856753444455014)),
+        (["track", "--length", "1000", "--samples", "25", "--seed", "0", "--period", "120"],
+         "b8572eca36d4ad9651e6d5e85e590ac13deceb988b7b0c3d1e5d121f279298de",
+         (0.0889207387812652, 0.10818186425353968)),
+        (["simulate", "--length", "300", "--seed", "4"],
+         "8f6e4e17cad2ee88a1e881adc82605cf9d1e69bd0471624dc9f2db1ae25fc0f2", None),
+        (["simulate", "--length", "20000", "--seed", "2", "--period", "333.3"],
+         "7b7ded04305922dc5343ed0b7359b0635c24746ccac33fe6ebfc4cf800ff0ca1", None),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, body_sha256, maes", PINNED,
+        ids=["track-400x3", "track-3000x3", "track-1000x25", "simulate-300", "simulate-20000"],
+    )
+    def test_artifacts_are_byte_identical_to_pinned(self, tmp_path, argv, body_sha256, maes):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        head, body = out.read_bytes().split(b"\n", 1)
+        assert hashlib.sha256(body).hexdigest() == body_sha256
+        if maes is not None:
+            metadata = json.loads(head[2:])
+            assert (metadata["mae_maxent"], metadata["mae_sampling"]) == maes
 
 
 class TestForecastAndBacktest:

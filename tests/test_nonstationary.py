@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxent_markov import nonstationary
 from maxent_markov.chains import _walk
 from maxent_markov import (
+    Distribution,
     StateSpace,
     autocorrelation_cycle,
     generate_nonstationary,
@@ -17,6 +20,14 @@ from maxent_markov import (
     toy_process,
     tracking_experiment,
 )
+
+# a ternary cycle with a short integer period: every phase is solved once
+_SMALL_CYCLE = autocorrelation_cycle(StateSpace.ternary(), period=7, amplitude=0.4)
+
+
+def block_straddling_lengths(block):
+    """Path lengths around the first block boundary and just past the second."""
+    return st.sampled_from([block - 1, block, block + 1, 2 * block + 1])
 
 
 class TestToyMatrix:
@@ -91,18 +102,50 @@ class TestGeneration:
 
     @pytest.mark.parametrize("ternary", [False, True])
     def test_block_walk_equals_one_walk(self, ternary):
-        # paths ending just before, at and just after block boundaries
+        # paths ending just before, at and just after block boundaries, for
+        # one seed and for three stacked seeds (blocks of cells // 3 steps)
         if ternary:
             process = autocorrelation_cycle(StateSpace.ternary(), period=40, amplitude=0.4)
         else:
             process = toy_process(333.3)
-        block = nonstationary._BLOCK_STEPS
+        start = stationary_distribution(process.at(0))
+        block = nonstationary._BLOCK_CELLS
         for length in (1, 2, block, block + 1, block + 2, 2 * block + 1, 2 * block + 2):
-            start = stationary_distribution(process.at(0))
             u = np.random.default_rng(length).random((1, length))
             expected = _walk(process.entries(np.arange(length - 1)), start.mass, u)[0]
             path = generate_time_varying(process, length, seed=length)
             assert np.array_equal(path.indices, expected)
+        seeds = [4, 5, 6]
+        block = nonstationary._BLOCK_CELLS // len(seeds)
+        for length in (block, block + 1, block + 2, 2 * block + 1, 2 * block + 2):
+            rows = process.entries(np.arange(length - 1))
+            paths = nonstationary._paths(process, length, seeds)
+            for seed, path in zip(seeds, paths):
+                u = np.random.default_rng(seed).random((1, length))
+                assert np.array_equal(path, _walk(rows, start.mass, u)[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 25).flatmap(
+            lambda r: st.tuples(
+                st.lists(st.integers(0, 2**32 - 1), min_size=r, max_size=r),
+                block_straddling_lengths(nonstationary._BLOCK_CELLS // r),
+            )
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_stacked_rows_equal_whole_length_walks(self, case, ternary, stationary):
+        seeds, length = case
+        process = _SMALL_CYCLE if ternary else toy_process(97.0)
+        k = process.states.size
+        start = stationary_distribution(process.at(0)) if stationary else Distribution.point(k, k - 1)
+        paths = nonstationary._paths(process, length, seeds, None if stationary else start)
+        assert paths.shape == (len(seeds), length) and paths.dtype == np.int64
+        rows = process.entries(np.arange(length - 1))
+        for seed, path in zip(seeds, paths):
+            u = np.random.default_rng(seed).random((1, length))
+            np.testing.assert_array_equal(path, _walk(rows, start.mass, u)[0])
 
     def test_long_path_memory_is_bounded(self):
         # one 200k-step path: about 40 MB if every step's rows were held at once
@@ -114,7 +157,7 @@ class TestGeneration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10e6
+        assert peak <= 4e6
 
     def test_generic_generator_matches_toy(self):
         process = toy_process(500.0)

@@ -11,7 +11,9 @@ alternating which side goes first from round to round.
 It keeps the medians and quartiles that ``run.py`` prints, its
 ``failed`` / ``attempted`` counts and its context line (which holds the
 ``src/`` line count), and writes ``BENCH_<pr>.json`` into the current
-directory.
+directory.  Under ``lower_in`` it records, per workload and metric, the
+number of rounds whose change median is below the parent's, and prints
+one such summary line per workload.
 """
 
 from __future__ import annotations
@@ -79,6 +81,19 @@ def revision(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
+def lower_in(record: dict) -> dict[str, dict[str, int]]:
+    """Per workload and metric: the rounds whose change median is below the parent's."""
+    parent, change = (record["sides"][name]["workloads"] for name in ("parent", "change"))
+    counts = {}
+    for workload, runs in change.items():
+        pairs = list(zip(parent[workload], runs))
+        counts[workload] = {
+            metric: sum(c["metrics"][metric]["median"] < p["metrics"][metric]["median"] for p, c in pairs)
+            for metric in runs[0]["metrics"]
+        }
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
@@ -107,6 +122,10 @@ def main(argv=None) -> int:
                 print(f"{workload} round {round_no + 1} {name}: "
                       f"run_s {run['metrics']['run_s']['median']:.4f} s, "
                       f"{run['failed']}/{run['attempted']} failed", flush=True)
+    record["lower_in"] = lower_in(record)
+    for workload, counts in record["lower_in"].items():
+        summary = ", ".join(f"{metric} {n}/{ROUNDS}" for metric, n in counts.items())
+        print(f"{workload}: change lower in {summary}")
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
