@@ -236,6 +236,8 @@ def critical_size_map(resolution: int = 100, cap: int = DEFAULT_CAP) -> Critical
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     grid = (np.arange(resolution) + 0.5) / resolution
     a, d = np.meshgrid(grid, grid, indexing="ij")  # stay_down, stay_up
     p_down = (1.0 - d) / (2.0 - a - d)
@@ -318,6 +320,8 @@ def mu_curve(
         raise ValueError("workers must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
 
     if n_states == 2:
         if stratify:

@@ -180,9 +180,6 @@ class StateSequence:
             raise ValueError("state space size does not match the sequence")
         return states.as_array()[self.indices]
 
-    def slice(self, start: int, stop: int) -> "StateSequence":
-        return StateSequence(self.indices[start:stop], self.n_states)
-
 
 def _require_consistent(p: Distribution, w: StochasticMatrix) -> None:
     if p.size != w.size:

@@ -285,7 +285,7 @@ def _cmd_backtest(args) -> tuple[dict, dict]:
 
 def _cmd_discretize(args) -> tuple[dict, dict]:
     prices = load_prices(args.input)
-    if args.interval:
+    if args.interval is not None:
         prices = resample(prices, args.interval)
     returns = to_returns(prices)
     series = discretize(returns, threshold=args.threshold)

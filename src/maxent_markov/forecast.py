@@ -155,34 +155,35 @@ def _weights(mass: np.ndarray, target: np.ndarray, at: np.ndarray) -> np.ndarray
     return np.where(((atom == 0.0) | (atom > _DUST))[:, None], weights, 0.0)
 
 
-def _target(q: StepDistribution) -> float:
-    """Mass of one one-sided centile: one percent of the forecast's total."""
-    total = q.total
-    if total <= 0:
-        raise ValueError("distribution carries no mass")
-    return total / 100.0
-
-
 def symmetrized_centiles(q: StepDistribution) -> TailCentiles:
     """Predicted symmetrized tail centiles (k-th lowest plus k-th highest).
 
     Each one-sided centile holds one percent of the forecast's mass, so
     each symmetrized centile is two percent of it.
     """
-    return TailCentiles(np.full(N_TAIL_BINS, 2 * _target(q)))
+    if q.total <= 0:
+        raise ValueError("distribution carries no mass")
+    return TailCentiles(np.full(N_TAIL_BINS, 2 * (q.total / 100.0)))
+
+
+def _realized_weights(support: np.ndarray, masses: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Per-bin weights of each realized ``sums[b]`` under the forecast ``masses[b]`` on ``support``, ``(B, 10)``.
+
+    A sum off the support counts as a zero-mass atom inserted where it
+    sorts; ``_weights`` gives the rule.
+    """
+    total = masses.sum(axis=1)
+    if np.any(total <= 0):
+        raise ValueError("distribution carries no mass")
+    lattice, inverse = np.unique(np.concatenate([support, sums]), return_inverse=True)
+    placed = np.zeros((masses.shape[0], lattice.size))
+    placed[:, inverse[: support.size]] = masses
+    return _weights(placed, total / 100.0, inverse[support.size :])
 
 
 def _assign(value: int, q: StepDistribution) -> np.ndarray:
-    """Per-bin weights credited when a realized sum equals ``value``.
-
-    A value off the support counts as a zero-mass atom inserted where it
-    sorts; ``_weights`` gives the rule.
-    """
-    mass = q.probabilities
-    idx = int(np.searchsorted(q.support, value))
-    if idx == mass.size or q.support[idx] != value:
-        mass = np.insert(mass, idx, 0.0)
-    return _weights(mass[None], np.array([_target(q)]), np.array([idx]))[0]
+    """Per-bin weights credited when a realized sum equals ``value``: one row of ``_realized_weights``."""
+    return _realized_weights(q.support, q.probabilities[None], np.array([value]))[0]
 
 
 def realized_centile_fractions(
@@ -194,31 +195,29 @@ def realized_centile_fractions(
 ) -> TailCentiles:
     """Average realized tail-bin occupation over forecast origins.
 
-    ``forecasts`` gives the predicted sum distribution, either one shared
-    instance or one per origin.  Origins without ``horizon`` future
-    observations are skipped and counted.
+    ``forecasts`` is the predicted sum distribution, one shared instance or
+    one per origin, and the forecasts at scored origins share one support.
+    Origins without ``horizon`` future observations are skipped and counted.
     """
+    starts = np.asarray(origins)
+    if starts.size and not np.issubdtype(starts.dtype, np.integer):
+        raise ValueError("origins must be integers")
     if isinstance(forecasts, StepDistribution):
-        per_origin: Sequence[StepDistribution] = [forecasts] * len(origins)
-    else:
-        per_origin = list(forecasts)
-        if len(per_origin) != len(origins):
-            raise ValueError("need exactly one forecast per origin")
-    x = np.rint(series.values(states)).astype(np.int64)
-
-    acc = np.zeros(N_TAIL_BINS)
-    used = 0
-    skipped = 0
-    for origin, q in zip(origins, per_origin):
-        if origin < 0 or origin + horizon >= len(series):
-            skipped += 1
-            continue
-        realized = int(x[origin + 1 : origin + horizon + 1].sum())
-        acc += _assign(realized, q)
-        used += 1
-    if used == 0:
+        forecasts = [forecasts] * starts.size
+    elif len(forecasts) != starts.size:
+        raise ValueError("need exactly one forecast per origin")
+    scored = (starts >= 0) & (starts + horizon < len(series))
+    rows = [q for q, keep in zip(forecasts, scored) if keep]
+    if not rows:
         raise ValueError("no origin had enough future data")
-    return TailCentiles(acc / used, skipped=skipped)
+    support = rows[0].support
+    if any(q.support is not support and not np.array_equal(q.support, support) for q in rows):
+        raise ValueError("the forecasts at scored origins must share one support")
+    at = starts[scored]
+    cx = np.cumsum(np.rint(series.values(states)).astype(np.int64))
+    weights = _realized_weights(support, np.stack([q.probabilities for q in rows]), cx[at + horizon] - cx[at])
+    # rows add in origin order, as a running sum over the origins does
+    return TailCentiles(np.add.reduce(weights, axis=0) / at.size, skipped=int(starts.size - at.size))
 
 
 def tail_error(predicted: TailCentiles, realized: TailCentiles) -> float:

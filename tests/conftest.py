@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maxent_markov import Distribution, StateSpace, StochasticMatrix
+from maxent_markov import Distribution, StateSequence, StateSpace, StochasticMatrix
 
 
 def power_iteration_stationary(entries: np.ndarray, iters: int = 200_000, tol: float = 1e-14):
@@ -17,6 +17,11 @@ def power_iteration_stationary(entries: np.ndarray, iters: int = 200_000, tol: f
             return p_next / p_next.sum()
         p = p_next
     return p / p.sum()
+
+
+def sliced(series: StateSequence, start: int, stop: int) -> StateSequence:
+    """The observations ``start:stop`` of ``series`` as a sequence of their own."""
+    return StateSequence(series.indices[start:stop], series.n_states)
 
 
 def random_irreducible(rng: np.random.Generator, k: int) -> StochasticMatrix:

@@ -259,10 +259,18 @@ class TestMuCurve:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             mu_curve(n_states, [5], grid=6, cap=10, samples=4, replicates=5, workers=workers)
 
-    @pytest.mark.parametrize("samples", [0, -2])
-    def test_rejects_sample_counts_below_one(self, samples):
-        with pytest.raises(ValueError, match="samples must be >= 1"):
-            mu_curve(3, [5], cap=10, samples=samples, replicates=5)
+    @pytest.mark.parametrize(
+        "sweep, name",
+        [
+            pytest.param(lambda: mu_curve(3, [5], cap=10, samples=0, replicates=5), "samples", id="0"),
+            pytest.param(lambda: mu_curve(3, [5], cap=10, samples=-2, replicates=5), "samples", id="-2"),
+            pytest.param(lambda: mu_curve(3, [5, 8], samples=4, replicates=0), "replicates", id="replicates-0"),
+            pytest.param(lambda: critical_size_map(8, cap=0), "cap", id="map-cap-0"),
+        ],
+    )
+    def test_rejects_sample_counts_below_one(self, sweep, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            sweep()
 
     def test_three_state_reproducible_and_nonincreasing(self):
         kwargs = dict(samples=32, replicates=40, seed=123)

@@ -57,3 +57,17 @@ def test_lower_in_counts_rounds_where_the_change_median_is_lower():
     }}
     # a tie is not lower; rounds pair by position, not by value
     assert bench_record.lower_in(record) == {"w": {"run_s": 2, "peak_rss_mb": 1}}
+
+
+def test_side_totals_give_src_lines_and_failures_over_all_runs():
+    def run(failed, attempted):
+        return {"failed": failed, "attempted": attempted}
+
+    record = {"sides": {
+        "parent": {"src_lines": 2429, "workloads": {"a": [run(0, 90), run(1, 88)], "b": [run(0, 40)]}},
+        "change": {"src_lines": 2425, "workloads": {"a": [run(0, 91), run(0, 89)], "b": [run(2, 41)]}},
+    }}
+    assert bench_record.side_totals(record) == [
+        "parent: src_lines 2429, 1/218 invocations failed",
+        "change: src_lines 2425, 2/221 invocations failed",
+    ]

@@ -10,6 +10,8 @@ import pytest
 
 from maxent_markov.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, main
 
+from conftest import sliced
+
 
 def read_artifact(path):
     lines = path.read_text().splitlines()
@@ -88,6 +90,16 @@ class TestDiscretize:
         _, _, rows = read_artifact(out)
         assert [r[1] for r in rows] == ["1", "-1"]
 
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_rejects_nonpositive_interval(self, tmp_path, capsys, interval):
+        inp = tmp_path / "prices.csv"
+        inp.write_text("timestamp,price\n0,100\n900,100.02\n1800,99.97\n")
+        out = tmp_path / "states.csv"
+        assert main(["discretize", "--input", str(inp), "--interval", interval,
+                     "--output", str(out)]) == EXIT_DATA
+        assert "interval must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation_error_writes_nothing(self, tmp_path):
         inp = tmp_path / "prices.csv"
         inp.write_text("timestamp,price\n100,1.0\n50,2.0\n")
@@ -157,12 +169,20 @@ class TestSweeps:
                      "--workers", workers, "--output", str(out)]) == EXIT_DATA
         assert not out.exists()
 
-    @pytest.mark.parametrize("samples", ["0", "-2"])
-    def test_mucurve_rejects_sample_counts_below_one(self, tmp_path, capsys, samples):
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            pytest.param(["mucurve", "--k", "3", "--n", "5", "--samples", "0"], "samples", id="0"),
+            pytest.param(["mucurve", "--k", "3", "--n", "5", "--samples", "-2"], "samples", id="-2"),
+            pytest.param(["mucurve", "--k", "3", "--n", "5,8", "--samples", "4", "--replicates", "0"],
+                         "replicates", id="replicates-0"),
+            pytest.param(["ncmap", "--grid", "8", "--cap", "0"], "cap", id="ncmap-cap-0"),
+        ],
+    )
+    def test_mucurve_rejects_sample_counts_below_one(self, tmp_path, capsys, argv, name):
         out = tmp_path / "never.csv"
-        assert main(["mucurve", "--k", "3", "--n", "5", "--samples", samples,
-                     "--output", str(out)]) == EXIT_DATA
-        assert "samples" in capsys.readouterr().err
+        assert main([*argv, "--output", str(out)]) == EXIT_DATA
+        assert f"{name} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_on_bad_n(self, tmp_path):
@@ -326,7 +346,7 @@ class TestForecastAndBacktest:
         assert main(["forecast", "--input", str(inp), "--window", "30", "--method", method,
                      "--horizon", "5", "--output", str(out)]) == EXIT_OK
         series, states = ingest.load_states(inp)
-        window = series.slice(50, 80)
+        window = sliced(series, 50, 80)
         if method == "maxent":
             entries = maxent_estimate(window, states).matrix.entries
         elif method == "sampling":

@@ -22,7 +22,7 @@ from maxent_markov import (
 from maxent_markov import estimators
 from maxent_markov.estimators import CLAMP_MARGIN
 
-from conftest import random_irreducible
+from conftest import random_irreducible, sliced
 
 BINARY = StateSpace.binary()
 TERNARY = StateSpace.ternary()
@@ -192,7 +192,7 @@ class TestSlidingWindow:
         est_samp = sliding_window(series, window, "sampling", BINARY)
         est_max = sliding_window(series, window, "maxent", BINARY)
         for pos, t in enumerate(est_samp.times):
-            piece = series.slice(t - window + 1, t + 1)
+            piece = sliced(series, t - window + 1, t + 1)
             np.testing.assert_allclose(
                 est_samp.entries[pos], frequency_estimate(piece).entries, atol=1e-12
             )
@@ -208,7 +208,7 @@ class TestSlidingWindow:
         window = 12
         est = sliding_window(series, window, "maxent", TERNARY)
         for pos, t in enumerate(est.times[:5]):
-            piece = series.slice(t - window + 1, t + 1)
+            piece = sliced(series, t - window + 1, t + 1)
             np.testing.assert_allclose(
                 est.entries[pos],
                 maxent_estimate(piece, TERNARY).matrix.entries,
@@ -242,7 +242,7 @@ class TestSlidingWindow:
         states, series, window = case
         est = sliding_window(series, window, method, states)
         for pos, t in enumerate(est.times.tolist()):
-            piece = series.slice(t - window + 1, t + 1)
+            piece = sliced(series, t - window + 1, t + 1)
             if method == "maxent":
                 expected = maxent_estimate(piece, states).matrix.entries
             elif method == "sampling":

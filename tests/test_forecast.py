@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -33,7 +35,7 @@ from maxent_markov.forecast import (
 )
 from maxent_markov.nonstationary import autocorrelation_cycle, generate_time_varying
 
-from conftest import random_irreducible
+from conftest import random_irreducible, sliced
 
 TERNARY = StateSpace.ternary()
 
@@ -106,6 +108,31 @@ def walked_backtest(series, states, sizes, horizon, stride):
     return delta
 
 
+def inserted_assign(value, q):
+    """Per-bin weights of one realized sum: a value off the support is inserted as a zero-mass atom."""
+    mass = q.probabilities
+    idx = int(np.searchsorted(q.support, value))
+    if idx == mass.size or q.support[idx] != value:
+        mass = np.insert(mass, idx, 0.0)
+    return _weights(mass[None], np.array([q.total / 100.0]), np.array([idx]))[0]
+
+
+def per_origin_fractions(series, states, origins, horizon, forecasts):
+    """Reference realized fractions: ``inserted_assign`` origin after origin into one running sum."""
+    if isinstance(forecasts, StepDistribution):
+        forecasts = [forecasts] * len(origins)
+    x = np.rint(series.values(states)).astype(np.int64)
+    acc = np.zeros(N_TAIL_BINS)
+    used = skipped = 0
+    for origin, q in zip(origins, forecasts):
+        if origin < 0 or origin + horizon >= len(series):
+            skipped += 1
+            continue
+        acc += inserted_assign(int(x[origin + 1 : origin + horizon + 1].sum()), q)
+        used += 1
+    return TailCentiles(acc / used, skipped=skipped)
+
+
 def per_origin_backtest(series, states, sizes, horizon, methods, stride):
     """Reference backtest: one matrix, forecast and realized weight per origin and method."""
     k = states.size
@@ -117,7 +144,7 @@ def per_origin_backtest(series, states, sizes, horizon, methods, stride):
             pred = np.zeros(N_TAIL_BINS)
             real = np.zeros(N_TAIL_BINS)
             for t in origins:
-                window = series.slice(t - n + 1, t + 1)
+                window = sliced(series, t - n + 1, t + 1)
                 if m == "maxent":
                     entries = maxent_estimate(window, states).matrix.entries
                 elif m == "sampling":
@@ -313,7 +340,7 @@ class TestBatchedCore:
         x = np.rint(series.values(TERNARY)).astype(int)
         unseen = [
             t for t in range(2, len(series) - 5, 2)
-            if step_distribution(frequency_estimate(series.slice(t - 2, t + 1), TERNARY), int(series.indices[t]), 5)
+            if step_distribution(frequency_estimate(sliced(series, t - 2, t + 1), TERNARY), int(series.indices[t]), 5)
             .mass.get(int(x[t + 1 : t + 6].sum()), 0.0) == 0.0
         ]
         assert unseen
@@ -509,6 +536,78 @@ class TestRealizedFractions:
         se = math.sqrt(0.02 * 0.98 / n)
         assert np.abs(result.pi - 0.02).max() < 3 * se + 1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(integer_spaces(), st.integers(1, 4), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_stacked_scoring_equals_per_origin_loop(self, states, forecast_horizon, horizon, shared, seed):
+        # forecasts shorter than the scoring horizon leave realized sums off the support
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(horizon + 1, 40))
+        series = StateSequence(rng.integers(states.size, size=length), states.size)
+        origins = rng.integers(-3, length + 2, size=int(rng.integers(1, 30)))
+        origins[0] = rng.integers(length - horizon)  # at least one scored origin
+        count = 1 if shared else origins.size
+        # step-sum rows and raw rows, both with zero atoms
+        rows = np.concatenate(step_rows_with_zeros(rng, states, forecast_horizon, count))
+        rows = rows[rng.permutation(2 * count)[:count]]
+        rows[rng.random(rows.shape) < 0.15] = 1e-19  # dust atoms
+        support = np.arange(rows.shape[1]) - rows.shape[1] // 2
+        forecasts = [StepDistribution(forecast_horizon, 0, support, row) for row in rows]
+        if shared:
+            forecasts = forecasts[0]
+        result = realized_centile_fractions(series, states, origins.tolist(), horizon, forecasts)
+        expected = per_origin_fractions(series, states, origins.tolist(), horizon, forecasts)
+        assert result.pi.tolist() == expected.pi.tolist()
+        assert result.skipped == expected.skipped
+
+    def test_long_shared_stack_equals_per_origin_loop(self):
+        w = StochasticMatrix(np.random.default_rng(99).dirichlet(np.ones(3), size=3), TERNARY)
+        series = simulate(w, Distribution.uniform(3), 60_000, seed=555)
+        origins = np.flatnonzero(series.indices[:-5] == 0)[::2]
+        q = step_distribution(w, 0, 5)
+        result = realized_centile_fractions(series, TERNARY, origins, 5, q)
+        assert result.pi.tolist() == per_origin_fractions(series, TERNARY, origins, 5, q).pi.tolist()
+
+    @pytest.mark.parametrize(
+        "origins, masses, supports, message",
+        [
+            ([0, 1], [[0.5, 0.5, 0.0]] * 2, [[-1, 0, 1], [-2, -1, 0]], "one support"),
+            ([0, 1], [[0.5, 0.5, 0.0], [0.2, 0.3, 0.4, 0.1]], [[-1, 0, 1], [-2, -1, 0, 1]], "one support"),
+            ([0, 1], [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]], [[-1, 0, 1]] * 2, "no mass"),
+            ([0, 1.5], [[0.5, 0.5, 0.0]] * 2, [[-1, 0, 1]] * 2, "integers"),
+        ],
+        ids=["support-values", "support-sizes", "massless", "fractional-origin"],
+    )
+    def test_stacked_scoring_rejects(self, origins, masses, supports, message):
+        series = StateSequence(np.array([0, 1, 2, 1, 0]), 3)
+        forecasts = [StepDistribution(1, 0, np.array(s), np.array(m)) for m, s in zip(masses, supports)]
+        with pytest.raises(ValueError, match=message):
+            realized_centile_fractions(series, TERNARY, origins, 1, forecasts)
+
+    def test_unscored_forecasts_are_not_checked(self):
+        # a massless forecast, or one on another support, at a skipped origin
+        series = StateSequence(np.array([0, 1, 2, 1, 0]), 3)
+        good = StepDistribution(1, 0, np.array([-1, 0, 1]), np.array([0.2, 0.5, 0.3]))
+        massless = StepDistribution(1, 0, np.array([-1, 0, 1]), np.zeros(3))
+        other = StepDistribution(1, 0, np.array([-2, -1, 0, 1, 2]), np.full(5, 0.2))
+        result = realized_centile_fractions(series, TERNARY, [0, -1, 4], 1, [good, massless, other])
+        assert result.skipped == 2
+        assert result.pi.tolist() == realized_centile_fractions(series, TERNARY, [0], 1, good).pi.tolist()
+
+    def test_scoring_leaves_numpy_ma_out(self):
+        # np.union1d, and np.unique without an optional output, import numpy.ma: memory and time on first call
+        code = """
+import sys
+from maxent_markov import (Distribution, StateSpace, StochasticMatrix, backtest,
+                           realized_centile_fractions, simulate, step_distribution)
+w = StochasticMatrix.uniform(StateSpace.ternary())
+series = simulate(w, Distribution.uniform(3), 200, seed=1)
+backtest(series, StateSpace.ternary(), [10, 20], horizon=4, stride=5)
+realized_centile_fractions(series, StateSpace.ternary(), [0, 5, 199], 6, step_distribution(w, 0, 4))
+print('numpy.ma' in sys.modules)
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_mismatched_bins_rejected(self, rng):
         w = random_irreducible(rng, 3)
         series = simulate(w, Distribution.uniform(3), 50, seed=2)
@@ -557,7 +656,7 @@ class TestBacktest:
             real = np.zeros(10)
             origins = range(n - 1, len(series) - horizon, stride)
             for t in origins:
-                fitted = maxent_estimate(series.slice(t - n + 1, t + 1), TERNARY).matrix
+                fitted = maxent_estimate(sliced(series, t - n + 1, t + 1), TERNARY).matrix
                 q = step_distribution(fitted, int(series.indices[t]), horizon)
                 pred += symmetrized_centiles(q).pi
                 real += _assign(int(x[t + 1 : t + horizon + 1].sum()), q)

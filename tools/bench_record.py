@@ -13,7 +13,8 @@ It keeps the medians and quartiles that ``run.py`` prints, its
 ``src/`` line count), and writes ``BENCH_<pr>.json`` into the current
 directory.  Under ``lower_in`` it records, per workload and metric, the
 number of rounds whose change median is below the parent's, and prints
-one such summary line per workload.
+one such summary line per workload, then one line per side with its
+``src/`` line count and its failed / attempted invocations over all runs.
 """
 
 from __future__ import annotations
@@ -94,6 +95,16 @@ def lower_in(record: dict) -> dict[str, dict[str, int]]:
     return counts
 
 
+def side_totals(record: dict) -> list[str]:
+    """One line per side: its ``src/`` line count and its failed / attempted invocations over all runs."""
+    lines = []
+    for name, side in record["sides"].items():
+        runs = [run for workload in side["workloads"].values() for run in workload]
+        failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+        lines.append(f"{name}: src_lines {side['src_lines']}, {failed}/{attempted} invocations failed")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
@@ -126,6 +137,8 @@ def main(argv=None) -> int:
     for workload, counts in record["lower_in"].items():
         summary = ", ".join(f"{metric} {n}/{ROUNDS}" for metric, n in counts.items())
         print(f"{workload}: change lower in {summary}")
+    for line in side_totals(record):
+        print(line)
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
