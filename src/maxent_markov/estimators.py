@@ -115,6 +115,12 @@ def maxent_entries(states: StateSpace, pair_sums, n_pairs) -> np.ndarray:
     targets lie on a lattice, so a long series needs few solves.  Entries
     equal those of per-window ``maxent_estimate`` bit for bit.
     """
+    rows, which = _maxent_rows(states, pair_sums, n_pairs)
+    return rows.take(which, axis=0)  # a faster gather than rows[which] on small matrices
+
+
+def _maxent_rows(states: StateSpace, pair_sums, n_pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The solved distinct clamped targets ``(D, K, K)`` of ``maxent_entries`` and each window's row."""
     bounds = feasible_range(states)
     targets = np.clip(
         np.asarray(pair_sums, dtype=float) / n_pairs,
@@ -126,18 +132,22 @@ def maxent_entries(states: StateSpace, pair_sums, n_pairs) -> np.ndarray:
         solved = _binary_entries(distinct)
     else:
         solved = _maxent_batch(states, distinct)[0]
-    return solved.reshape(-1, states.size, states.size)[inverse]
+    return solved.reshape(-1, states.size, states.size), inverse
 
 
-def _window_entries(series: StateSequence, states: StateSpace, method: str, ends, windows) -> np.ndarray:
-    """Estimates from the trailing windows ending at ``ends``, shape (len(ends), K, K).
+def _window_rows(
+    series: StateSequence, states: StateSpace, method: str, ends, windows
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates from the trailing windows ending at ``ends``: ``rows`` (D, K, K) and ``which`` (len(ends),).
 
     The window ending at ``t`` (0-based) holds the observations
-    ``t - windows + 1 .. t``; ``windows`` is one length or one per end.
+    ``t - windows + 1 .. t``; ``windows`` is one length or one per end, and
+    the estimate of window ``i`` is ``rows[which[i]]``.  maxent rows are the
+    solved distinct targets (one ``maxent_entries`` batch), naive has one
+    row, and sampling one row per window (its matrices rarely repeat).
     Counts and pair sums are differences of cumulative sums over the
-    series, and all maxent windows share one ``maxent_entries`` batch.
-    The windows overlap, so prefix sums cost O(T K^2) where counting each
-    window's path with ``transition_counts`` would cost O(T w).
+    series.  The windows overlap, so prefix sums cost O(T K^2) where
+    counting each window's path with ``transition_counts`` would cost O(T w).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -148,17 +158,23 @@ def _window_entries(series: StateSequence, states: StateSpace, method: str, ends
     k = states.size
     ends = np.asarray(ends, dtype=np.int64)
     if method == "naive":
-        return np.full((ends.size, k, k), 1.0 / k)
+        return np.full((1, k, k), 1.0 / k), np.zeros(ends.size, dtype=np.intp)
     starts = ends - windows + 1
     if method == "sampling":
         idx = series.indices
         cum = np.zeros((len(series), k * k))  # row t counts the transitions arriving by t
         cum[np.arange(1, len(series)), idx[:-1] * k + idx[1:]] = 1.0
         np.cumsum(cum, axis=0, out=cum)
-        return transition_frequencies((cum[ends] - cum[starts]).reshape(-1, k, k))
+        return transition_frequencies((cum[ends] - cum[starts]).reshape(-1, k, k)), np.arange(ends.size)
     x = series.values(states)
     cz = np.concatenate([[0.0], np.cumsum(x[:-1] * x[1:])])
-    return maxent_entries(states, cz[ends] - cz[starts], np.asarray(windows) - 1)
+    return _maxent_rows(states, cz[ends] - cz[starts], np.asarray(windows) - 1)
+
+
+def _window_entries(series: StateSequence, states: StateSpace, method: str, ends, windows) -> np.ndarray:
+    """The estimates of ``_window_rows``, one per window, shape (len(ends), K, K)."""
+    rows, which = _window_rows(series, states, method, ends, windows)
+    return rows.take(which, axis=0)
 
 
 def sliding_window(

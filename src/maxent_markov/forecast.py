@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .chains import StateSequence, StateSpace, StochasticMatrix, _stochastic_rows
-from .estimators import METHODS, _window_entries
+from .estimators import METHODS, _window_rows
 
 N_TAIL_BINS = 10
 _DUST = 1e-18
@@ -103,12 +103,17 @@ def _step_masses(
     if np.any(x_int != x):
         raise ValueError("step distributions need integer state values")
     span = int(horizon * np.abs(x_int).max())
-    table = np.zeros((len(origins), states.size, 2 * span + 1))
+    width = 2 * span + 1
+    table = np.zeros((len(origins), states.size, width))
     table[np.arange(len(origins)), origins, span] = 1.0
     for _ in range(horizon):
         arrivals = table.transpose(0, 2, 1) @ entries  # (B, width, K): mass arriving at j per sum
-        # sums reachable within the horizon stay inside the support: nothing nonzero wraps
-        table = np.stack([np.roll(arrivals[:, :, j], shift, axis=1) for j, shift in enumerate(x_int)], axis=1)
+        table = np.zeros_like(table)
+        # state j moves each sum up by its value; sums reachable within the
+        # horizon stay inside the support, so the ends shifted out hold zeros
+        for j, shift in enumerate(x_int):
+            lo, hi = max(shift, 0), width + min(shift, 0)
+            table[:, j, lo:hi] = arrivals[:, lo - shift : hi - shift, j]
     return np.arange(-span, span + 1), table.sum(axis=1)
 
 
@@ -242,8 +247,12 @@ def backtest(
     centiles of its ``horizon``-step sum forecast are predicted, and the
     realized sums are pooled into the predicted bins before the tail
     error is taken.  Each method estimates the windows of all sizes and
-    origins in one batch (one ``maxent_entries`` call for maxent), and
-    each (size, method) is forecast and scored as one stack.
+    origins in one batch (one ``maxent_entries`` solve for maxent), and
+    each (size, method) is scored as one stack.  Windows share matrices
+    (maxent targets lie on a lattice, naive has one matrix), so each
+    distinct (matrix, origin state) pair of a stack is forecast once and
+    its masses are gathered back per origin.  Sampling has one matrix per
+    window, so its stacks gain nothing and only pay for the ``np.unique``.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -269,12 +278,16 @@ def backtest(
     origins = [np.arange(n - 1, len(series) - horizon, stride) for n in sizes]
     counts = np.array([o.size for o in origins])
     ends = np.concatenate(origins)
+    k = states.size
     delta = {m: np.empty(sizes.size) for m in methods}
     for m in methods:
-        entries = _window_entries(series, states, m, ends, np.repeat(sizes, counts))
-        stacks = np.split(_stochastic_rows(entries, entries.shape), np.cumsum(counts)[:-1])
-        for si, (o, stack) in enumerate(zip(origins, stacks)):
-            support, masses = _step_masses(states, stack, series.indices[o], horizon)
+        rows, which = _window_rows(series, states, m, ends, np.repeat(sizes, counts))
+        rows = _stochastic_rows(rows, rows.shape)
+        for si, (o, picked) in enumerate(zip(origins, np.split(which, np.cumsum(counts)[:-1]))):
+            # each distinct (matrix, origin state) is forecast once; origins gather its masses
+            keys, inverse = np.unique(picked * k + series.indices[o], return_inverse=True)
+            support, distinct = _step_masses(states, rows.take(keys // k, axis=0), keys % k, horizon)
+            masses = distinct.take(inverse, axis=0)
             target = masses.sum(axis=1) / 100.0
             realized = cx[o + horizon + 1] - cx[o + 1]
             # each forecast predicts 2 target per centile; both sums add forecast after forecast

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from maxent_markov import Distribution, StateSpace, StochasticMatrix, simulate
 from maxent_markov.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, main
+from maxent_markov.ingest import write_states
 
 from conftest import sliced
 
@@ -255,7 +257,8 @@ class TestSimulateAndTrack:
     # sha256 of the artifact body (every line after the metadata line) and the
     # metadata's MAEs; the two long tracks cross stacked-walk block boundaries
     # (three seeds at 2,730 steps, 25 seeds at 327) and the long simulate
-    # crosses two 8,192-step ones
+    # crosses two 8,192-step ones; "{input}" is a 1,500-step ternary path
+    # written by ``pinned_input``
     PINNED = [
         (["track", "--length", "400", "--samples", "3", "--seed", "5"],
          "274b76ec7f3f1c70648b12eeb2b0faab1aa5a4f3a723014acb0b052110eeab74",
@@ -270,14 +273,31 @@ class TestSimulateAndTrack:
          "8f6e4e17cad2ee88a1e881adc82605cf9d1e69bd0471624dc9f2db1ae25fc0f2", None),
         (["simulate", "--length", "20000", "--seed", "2", "--period", "333.3"],
          "7b7ded04305922dc5343ed0b7359b0635c24746ccac33fe6ebfc4cf800ff0ca1", None),
+        (["backtest", "--input", "{input}", "--n", "10,20,40", "--horizon", "8"],
+         "bbc9432e81d01b88185df2bfb37fc75afdafc1b7b92f072c9c2d10cc2c0d8577", None),
+        (["forecast", "--input", "{input}", "--method", "maxent", "--window", "60", "--horizon", "8"],
+         "c1cbef48759428fe64372fdeae5a972f42e51ce3806b36ab3786948da8820f1d", None),
+        (["forecast", "--input", "{input}", "--method", "naive", "--window", "60", "--horizon", "8"],
+         "e9ca3d452bb0315c2f1e30874c0909f8f570dcc4b136956322088ca6310e9f03", None),
     ]
+
+    @staticmethod
+    def pinned_input(tmp_path):
+        states = StateSpace.ternary()
+        w = StochasticMatrix(np.array([[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]]), states)
+        path = tmp_path / "in.csv"
+        write_states(path, simulate(w, Distribution.uniform(3), 1500, seed=11), states)
+        return path
 
     @pytest.mark.parametrize(
         "argv, body_sha256, maes", PINNED,
-        ids=["track-400x3", "track-3000x3", "track-1000x25", "simulate-300", "simulate-20000"],
+        ids=["track-400x3", "track-3000x3", "track-1000x25", "simulate-300", "simulate-20000",
+             "backtest-1500", "forecast-maxent", "forecast-naive"],
     )
     def test_artifacts_are_byte_identical_to_pinned(self, tmp_path, argv, body_sha256, maes):
         out = tmp_path / "out.csv"
+        if "{input}" in argv:
+            argv = [str(self.pinned_input(tmp_path)) if a == "{input}" else a for a in argv]
         assert main(argv + ["--output", str(out)]) == EXIT_OK
         head, body = out.read_bytes().split(b"\n", 1)
         assert hashlib.sha256(body).hexdigest() == body_sha256

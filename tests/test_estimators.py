@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,3 +314,67 @@ class TestMaxEntEntries:
 
     def test_empty_batch(self):
         assert maxent_entries(TERNARY, np.array([], dtype=int), 9).shape == (0, 3, 3)
+
+
+@st.composite
+def windows_per_end(draw):
+    """A ``windowed_series`` case with trailing windows of mixed lengths, one per end."""
+    states, series, _ = draw(windowed_series())
+    ends = draw(st.lists(st.integers(1, len(series) - 1), min_size=1, max_size=12))
+    windows = [draw(st.integers(2, t + 1)) for t in ends]
+    return states, series, np.array(ends), np.array(windows)
+
+
+class TestWindowRows:
+    @settings(max_examples=60, deadline=None)
+    @given(windows_per_end(), st.sampled_from(["maxent", "sampling", "naive"]))
+    def test_gathered_rows_equal_the_per_window_estimators(self, case, method):
+        states, series, ends, windows = case
+        rows, which = estimators._window_rows(series, states, method, ends, windows)
+        assert np.issubdtype(which.dtype, np.integer)
+        assert which.shape == ends.shape
+        if method == "naive":
+            assert rows.shape[0] == 1
+        elif method == "sampling":
+            assert which.tolist() == list(range(ends.size))
+        for i, (t, w) in enumerate(zip(ends.tolist(), windows.tolist())):
+            piece = sliced(series, t - w + 1, t + 1)
+            if method == "maxent":
+                expected = maxent_estimate(piece, states).matrix.entries
+            elif method == "sampling":
+                expected = frequency_estimate(piece, states).entries
+            else:
+                expected = np.full((states.size, states.size), 1.0 / states.size)
+            assert np.array_equal(rows[which[i]], expected)
+        assert np.array_equal(estimators._window_entries(series, states, method, ends, windows), rows[which])
+
+    @settings(max_examples=40, deadline=None)
+    @given(windows_per_end())
+    def test_maxent_has_one_row_per_distinct_clamped_target(self, case):
+        states, series, ends, windows = case
+        x = series.values(states)
+        clamp = feasible_range(states).clamp
+        targets = {
+            clamp(float((x[t - w + 1 : t] * x[t - w + 2 : t + 1]).sum()) / (w - 1), CLAMP_MARGIN)
+            for t, w in zip(ends.tolist(), windows.tolist())
+        }
+        rows, which = estimators._window_rows(series, states, "maxent", ends, windows)
+        assert rows.shape == (len(targets), states.size, states.size)
+        assert np.array_equal(np.unique(which), np.arange(len(targets)))
+
+    # sha256 of the mu(n) sweep's lattice batch (every pair-sum of sizes 2..50)
+    # as the batched solve gave it before maxent_entries became a gather; an
+    # ulp-level change to the solver moves these on purpose
+    LATTICE_SHA256 = {
+        (-1.0, 0.0, 1.0): "dc3481dd7ef8ddd609b591f9997de2b3548055751973906fcd14e98b65bf9c44",
+        (-1.0, 1.0): "8e05b8b1db0df2b7d64223aef253e53b197ab6d74422b102cefe26a2522ec62c",
+        (0.0, 1.0, 3.0): "57ff673d16752c84b1937a25cc66e3bcc7e484d59c902d5672f76190bb80fee3",
+    }
+
+    @pytest.mark.parametrize("states", [TERNARY, BINARY, SKEWED], ids=["ternary", "binary", "skewed"])
+    def test_maxent_entries_are_bit_identical_to_pinned(self, states):
+        sizes = np.arange(2, 51)
+        pair_sums = np.concatenate([np.arange(-(n - 1), n) for n in sizes])
+        flat = maxent_entries(states, pair_sums, np.repeat(sizes - 1, 2 * sizes - 1))
+        assert flat.shape == (pair_sums.size, states.size, states.size) and flat.dtype == np.float64
+        assert hashlib.sha256(np.ascontiguousarray(flat).tobytes()).hexdigest() == self.LATTICE_SHA256[states.values]

@@ -6,7 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxent_markov import (
@@ -166,6 +166,26 @@ def integer_spaces(draw, bound=3):
     return StateSpace(draw(st.sampled_from([(0, 1, 3), tuple(sorted(drawn))])))
 
 
+@st.composite
+def one_sided_spaces(draw):
+    """Integer state spaces wholly negative or wholly positive (K <= 4, |values| <= 3)."""
+    drawn = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True))
+    sign = draw(st.sampled_from([-1, 1]))
+    return StateSpace(tuple(sorted(sign * v for v in drawn)))
+
+
+def rolled_step_masses(states, entries, origins, horizon):
+    """The step-sum DP with each state's shift as ``np.roll`` plus ``np.stack`` (the wrapped ends hold zeros)."""
+    x_int = np.rint(states.as_array()).astype(np.int64)
+    span = int(horizon * np.abs(x_int).max())
+    table = np.zeros((len(origins), states.size, 2 * span + 1))
+    table[np.arange(len(origins)), origins, span] = 1.0
+    for _ in range(horizon):
+        arrivals = table.transpose(0, 2, 1) @ entries
+        table = np.stack([np.roll(arrivals[:, :, j], shift, axis=1) for j, shift in enumerate(x_int)], axis=1)
+    return np.arange(-span, span + 1), table.sum(axis=1)
+
+
 def matrices_with_zeros(rng, k, count):
     """Row-stochastic stack whose entries are exactly zero about a third of the time."""
     entries = rng.dirichlet(np.ones(k), size=(count, k))
@@ -287,6 +307,44 @@ class TestBatchedCore:
             for total, prob in mass.items():
                 assert prob == pytest.approx(oracle.get(total, 0.0), abs=1e-12)
             assert masses[b].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(integer_spaces(), one_sided_spaces()), st.integers(1, 8), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    @example(StateSpace((-3, -1)), 8, 12, 0)
+    @example(StateSpace((1, 2, 3)), 8, 12, 1)
+    @example(StateSpace((-2, 0, 3)), 8, 12, 2)
+    def test_slice_copies_equal_the_rolled_dp_and_keep_all_mass(self, states, horizon, count, seed):
+        # a one-sided space shifts every sum the same way, where np.roll wrapped the far end
+        rng = np.random.default_rng(seed)
+        entries = matrices_with_zeros(rng, states.size, count)
+        origins = rng.integers(states.size, size=count)
+        support, masses = _step_masses(states, entries, origins, horizon)
+        rolled_support, rolled = rolled_step_masses(states, entries, origins, horizon)
+        assert np.array_equal(support, rolled_support)
+        assert np.array_equal(masses, rolled)
+        np.testing.assert_allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(integer_spaces(), one_sided_spaces()), st.integers(1, 8), st.integers(1, 4),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @example(StateSpace((-3, -2, -1)), 8, 2, 40, 0)
+    @example(StateSpace((1, 3)), 8, 3, 40, 1)
+    @example(StateSpace((-1, 0, 1)), 8, 4, 40, 2)
+    def test_distinct_keys_then_gather_equal_the_full_stack(self, states, horizon, n_matrices, count, seed):
+        # as backtest forecasts: each distinct (matrix, origin state) once, gathered back per row
+        rng = np.random.default_rng(seed)
+        k = states.size
+        matrices = matrices_with_zeros(rng, k, n_matrices)
+        which = rng.integers(n_matrices, size=count)
+        origins = rng.integers(k, size=count)
+        keys, inverse = np.unique(which * k + origins, return_inverse=True)
+        assert keys.size <= min(count, n_matrices * k)
+        support, distinct = _step_masses(states, matrices[keys // k], keys % k, horizon)
+        full_support, full = _step_masses(states, matrices[which], origins, horizon)
+        assert np.array_equal(support, full_support)
+        assert np.array_equal(distinct[inverse], full)
+        np.testing.assert_allclose(full.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(integer_spaces(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -700,9 +758,12 @@ class TestBacktest:
             backtest(series, TERNARY, [10], methods=("bogus",))
 
     def test_rejects_nan_window_estimates(self, rng, monkeypatch):
+        # backtest validates the rows its estimator returns, whatever the method
         w = random_irreducible(rng, 3)
         series = simulate(w, Distribution.uniform(3), 100, seed=8)
-        nan_entries = lambda series, states, method, ends, windows: np.full((ends.size, 3, 3), np.nan)
-        monkeypatch.setattr(forecast, "_window_entries", nan_entries)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            backtest(series, TERNARY, [10], methods=("sampling",))
+        nan_rows = lambda series, states, method, ends, windows: (
+            np.full((ends.size, 3, 3), np.nan), np.arange(ends.size))
+        monkeypatch.setattr(forecast, "_window_rows", nan_rows)
+        for method in ("sampling", "maxent"):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                backtest(series, TERNARY, [10], methods=(method,))
