@@ -23,9 +23,9 @@ from .chains import (
     Distribution,
     StateSpace,
     StochasticMatrix,
+    _lockstep_walk,
     entropy_rate,
     matrix_autocorrelation,
-    simulate_batch,
     stationary_distribution,
 )
 from .estimators import maxent_entries, transition_counts, transition_frequencies
@@ -33,6 +33,7 @@ from .solver import maxent_2state
 
 DEFAULT_CAP = 500
 DEFAULT_REPLICATES = 200
+_BLOCK_CELLS = 1 << 16  # (path, step) cells of a block of matrices walked together: bounds the uniforms held
 
 
 @dataclass(frozen=True)
@@ -254,33 +255,48 @@ def critical_size_map(resolution: int = 100, cap: int = DEFAULT_CAP) -> Critical
     return CriticalSizeMap(a, d, weighted, nc_down, nc_up, cap)
 
 
-def _empirical_weighted_gain(
-    entries: np.ndarray, p: np.ndarray, n: int, replicates: int, rng: np.random.Generator, lattice: np.ndarray
-) -> float:
-    """Stationary-weighted mean error gain of maxent over sampling at size ``n``, on 3 states.
+def _weighted_gains(entries: np.ndarray, p: np.ndarray, counts: np.ndarray, lattice: np.ndarray, n: int) -> np.ndarray:
+    """Stationary-weighted mean error gain of maxent over sampling at size ``n``, one per 3-state matrix.
 
+    ``counts`` ``(M, R, K, K)`` holds the transition counts of each matrix's
+    ``R`` paths, and each path is scored by its own estimates.
     ``lattice[S + n - 1]`` is the maxent matrix of pair-sum ``S``; a path's
     pair-sum is ``sum_ij counts_ij x_i x_j``, exact on the integer states.
     """
-    k = entries.shape[0]
-    counts = transition_counts(simulate_batch(entries, p, n, replicates, rng), k)
+    m, _, k, _ = counts.shape
     x = StateSpace.ternary().as_array()
-    pair_sums = (counts * np.outer(x, x)).sum(axis=(1, 2)).astype(np.int64)
-    err_me = np.abs(lattice[pair_sums + n - 1] - entries).mean(axis=0)
-    err_samp = np.abs(transition_frequencies(counts) - entries).mean(axis=0)
-    return float((p[:, None] * (err_samp - err_me)).sum() / k)
+    pair_sums = (counts.reshape(m, -1, k * k) @ np.outer(x, x).ravel()).astype(np.int64)  # exact integers
+    # replicate means along axis 1 add the paths in order, as one matrix's axis-0 mean does
+    err_me = np.abs(lattice.take(pair_sums + n - 1, axis=0) - entries[:, None]).mean(axis=1)
+    err_samp = np.abs(transition_frequencies(counts) - entries[:, None]).mean(axis=1)
+    return (p[:, :, None] * (err_samp - err_me)).reshape(m, -1).sum(axis=1) / k
 
 
-def _judge_matrix(seed, sizes: np.ndarray, replicates: int, lattices: list) -> tuple[float, float]:
-    """Empirical critical size and entropy rate of the random 3-state matrix drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    matrix = StochasticMatrix(rng.dirichlet(np.ones(3), size=3), StateSpace.ternary())
-    p = stationary_distribution(matrix)
-    best = 0.0
+def _judge_block(seeds, sizes: np.ndarray, replicates: int, lattices: list) -> np.ndarray:
+    """Empirical critical sizes and entropy rates of the random 3-state matrices drawn from ``seeds``, shape ``(2, M)``.
+
+    Each matrix's generator draws its Dirichlet rows, then, size by size,
+    the start uniforms and the step uniforms of its ``replicates`` paths.
+    Per size, the paths of every matrix are walked in one lock-step walk
+    and counted in one call.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    matrices = [StochasticMatrix(rng.dirichlet(np.ones(3), size=3), StateSpace.ternary()) for rng in rngs]
+    ps = [stationary_distribution(w) for w in matrices]
+    entries = np.stack([w.entries for w in matrices])
+    p = np.stack([q.mass for q in ps])
+    owner = np.repeat(np.arange(len(rngs)), replicates)
+    best = np.zeros(len(rngs))
     for n, lattice in zip(sizes, lattices):
-        if _empirical_weighted_gain(matrix.entries, p.mass, int(n), replicates, rng, lattice) >= 0:
-            best = float(n)
-    return best, entropy_rate(p, matrix)
+        u = np.empty((n, owner.size))  # (step, path): the layout the walk reads, so it copies nothing
+        for i, rng in enumerate(rngs):
+            own = slice(i * replicates, (i + 1) * replicates)
+            u[0, own] = rng.random(replicates)
+            u[1:, own] = rng.random((replicates, n - 1)).T
+        counts = transition_counts(_lockstep_walk(entries, p, owner, u.T), 3)
+        gains = _weighted_gains(entries, p, counts.reshape(len(rngs), replicates, 3, 3), lattice, n)
+        best = np.where(gains >= 0, float(n), best)
+    return np.stack([best, [entropy_rate(q, w) for q, w in zip(ps, matrices)]])
 
 
 def mu_curve(
@@ -303,9 +319,10 @@ def mu_curve(
     by ``replicates`` simulated estimation runs per scanned size; the
     critical size of a matrix is the largest scanned ``n`` at which the
     stationary-weighted mean error gain is still nonnegative.  Each matrix
-    draws from its own spawned seed, so ``workers`` processes, which take
-    the matrices in chunks of ``ceil(samples / workers)``, give the serial
-    result.
+    draws from its own spawned seed.  The matrices are judged in blocks of
+    at most ``_BLOCK_CELLS`` (path, step) cells at the largest size, and
+    ``workers`` processes, which take the blocks in chunks of
+    ``ceil(blocks / workers)``, give the serial result.
 
     With ``stratify`` (three states only) one curve is emitted per
     cumulated entropy-rate quintile: stratum ``q`` covers the matrices in
@@ -337,17 +354,19 @@ def mu_curve(
         pair_sums = np.concatenate([np.arange(-(n - 1), n) for n in sizes])
         flat = maxent_entries(StateSpace.ternary(), pair_sums, np.repeat(sizes - 1, points))
         lattices = np.split(flat, np.cumsum(points)[:-1])
-        judge = functools.partial(_judge_matrix, sizes=sizes, replicates=replicates, lattices=lattices)
+        judge = functools.partial(_judge_block, sizes=sizes, replicates=replicates, lattices=lattices)
         seeds = np.random.SeedSequence(seed).spawn(samples)
+        step = max(_BLOCK_CELLS // (replicates * int(sizes.max())), 1)
+        blocks = [seeds[i : i + step] for i in range(0, samples, step)]
         if workers > 1:
             # imported here: it pulls in multiprocessing, which one worker never needs
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                judged = list(pool.map(judge, seeds, chunksize=math.ceil(samples / workers)))
+                judged = list(pool.map(judge, blocks, chunksize=math.ceil(len(blocks) / workers)))
         else:
-            judged = list(map(judge, seeds))
-        ncs, rates = np.array(judged).T
+            judged = list(map(judge, blocks))
+        ncs, rates = np.concatenate(judged, axis=1)
     else:
         raise ValueError("mu_curve supports 2 or 3 states")
 

@@ -299,15 +299,49 @@ def simulate(
     return StateSequence(_walk(w.entries, start.mass, u[None])[0], w.size)
 
 
+def _lockstep_walk(rows: np.ndarray, start: np.ndarray, owner: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF paths over a stack of matrices, one per row of ``u``: ``uint8``, shape ``u.shape``.
+
+    Path ``r`` walks ``rows[owner[r]]`` (``rows`` is ``(M, K, K)``) from the
+    mass ``start[owner[r]]`` (``start`` is ``(M, K)``), by ``_walk``'s draw
+    rule; ``K`` is at most 256.  All paths take each step together: the
+    step gathers the first ``K - 1`` cumulative entries of every path's
+    current row and counts those ``<= u``.  No next-state table is built,
+    so every per-step array has one entry per path.  ``_walk`` stays the
+    walk of per-step rows: on one matrix and long paths its table is the
+    faster loop, but over many matrices the table's memory traffic costs
+    more than it saves.
+    """
+    r, n = u.shape
+    k = start.shape[-1]
+    cum = _cdf(rows)[..., :-1].reshape(-1, k - 1).T.copy()  # cum[j, matrix * K + state]: entry j of that row
+    base = owner * k
+    ut = np.ascontiguousarray(u.T)  # one step's uniforms per row
+    path = np.empty((n, r), dtype=np.uint8)
+    path[0] = (_cdf(start)[owner, :-1] <= ut[0, :, None]).sum(axis=1)
+    flat, entry, hit = np.empty(r, dtype=np.intp), np.empty(r), np.empty(r, dtype=bool)
+    for t in range(1, n):
+        np.add(base, path[t - 1], out=flat)
+        cur = path[t]
+        np.less_equal(cum[0].take(flat, out=entry), ut[t], out=cur.view(bool))
+        for column in cum[1:]:
+            cur += np.less_equal(column.take(flat, out=entry), ut[t], out=hit).view(np.uint8)
+    return np.ascontiguousarray(path.T)
+
+
 def simulate_batch(
     entries: np.ndarray, start: np.ndarray, n: int, replicates: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized sampler: ``replicates`` independent paths of length ``n``.
+    """Vectorized Monte-Carlo sampler: ``replicates`` independent paths of length ``n`` of one matrix.
 
-    Internal workhorse for Monte-Carlo sweeps; returns an int array of
-    shape ``(replicates, n)``.  Draws the start uniforms, then the steps.
+    Returns an int64 array of shape ``(replicates, n)``.  Draws the start
+    uniforms, then the steps, and walks all paths in lock-step: it is the
+    one-matrix call of ``_lockstep_walk``.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     u = rng.random(replicates)[:, None]
     if n > 1:
         u = np.concatenate([u, rng.random((replicates, n - 1))], axis=1)
-    return _walk(entries, start, u)
+    owner = np.zeros(replicates, dtype=np.intp)
+    return _lockstep_walk(np.asarray(entries)[None], np.asarray(start)[None], owner, u).astype(np.int64)

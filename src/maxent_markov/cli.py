@@ -56,106 +56,110 @@ def _int_list(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser: every subcommand, or with ``command`` that subcommand alone."""
     parser = _Parser(prog="maxent-markov", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help: str, description: str) -> _Parser | None:
+        return sub.add_parser(name, help=help, description=description) if command in (None, name) else None
 
     def common(p: _Parser) -> None:
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser(
+    if p := add(
         "estimate",
         help="estimate a transition matrix from a state CSV",
         description="Output columns: from_state,to_state,probability",
-    )
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=METHODS, default="maxent")
-    p.add_argument("--k", type=int, choices=(2, 3), help="force the state-space size")
-    common(p)
+    ):
+        p.add_argument("--input", required=True)
+        p.add_argument("--method", choices=METHODS, default="maxent")
+        p.add_argument("--k", type=int, choices=(2, 3), help="force the state-space size")
+        common(p)
 
-    p = sub.add_parser(
+    if p := add(
         "ncmap",
         help="weighted critical-sample-size map of 2-state matrices",
         description="Output columns: stay_down,stay_up,nc_weighted,nc_down_row,nc_up_row",
-    )
-    p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--cap", type=int, default=500)
-    common(p)
+    ):
+        p.add_argument("--grid", type=int, default=100)
+        p.add_argument("--cap", type=int, default=500)
+        common(p)
 
-    p = sub.add_parser(
+    if p := add(
         "mucurve",
         help="favorable fraction mu(n) curves",
         description="Output columns: stratum,n,mu (stratum 0 = full population)",
-    )
-    p.add_argument("--k", type=int, choices=(2, 3), required=True)
-    p.add_argument("--n", type=_int_list, required=True, help="sample sizes, e.g. 10,25,50")
-    p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--cap", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stratify", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
-    common(p)
+    ):
+        p.add_argument("--k", type=int, choices=(2, 3), required=True)
+        p.add_argument("--n", type=_int_list, required=True, help="sample sizes, e.g. 10,25,50")
+        p.add_argument("--grid", type=int, default=100)
+        p.add_argument("--samples", type=int, default=2000)
+        p.add_argument("--replicates", type=int, default=200)
+        p.add_argument("--cap", type=int, default=500)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--stratify", action="store_true")
+        p.add_argument("--workers", type=int, default=1)
+        common(p)
 
-    p = sub.add_parser(
+    if p := add(
         "simulate",
         help="realize the oscillating 2-state toy process",
         description="Output columns: t,state",
-    )
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--period", type=float, default=500.0)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
+    ):
+        p.add_argument("--length", type=int, required=True)
+        p.add_argument("--period", type=float, default=500.0)
+        p.add_argument("--seed", type=int, default=0)
+        common(p)
 
-    p = sub.add_parser(
+    if p := add(
         "track",
         help="window-tracking comparison on the toy process",
         description="Output columns: t,true_stay_down,maxent,sampling",
-    )
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--period", type=float, default=500.0)
-    p.add_argument("--window", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1, help="number of seeds averaged")
-    common(p)
+    ):
+        p.add_argument("--length", type=int, required=True)
+        p.add_argument("--period", type=float, default=500.0)
+        p.add_argument("--window", type=int, default=50)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=int, default=1, help="number of seeds averaged")
+        common(p)
 
-    p = sub.add_parser(
+    if p := add(
         "forecast",
         help="multi-step tail forecast from the end of a series",
         description="Output columns: kind,k,value (kind is mass or tail_centile)",
-    )
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=METHODS, default="maxent")
-    p.add_argument("--k", type=int, choices=(2, 3))
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=8)
-    common(p)
+    ):
+        p.add_argument("--input", required=True)
+        p.add_argument("--method", choices=METHODS, default="maxent")
+        p.add_argument("--k", type=int, choices=(2, 3))
+        p.add_argument("--window", type=int, required=True)
+        p.add_argument("--horizon", type=int, default=8)
+        common(p)
 
-    p = sub.add_parser(
+    if p := add(
         "backtest",
         help="rolling tail-error comparison of estimators",
         description="Output columns: n,method,delta,origins",
-    )
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, choices=(2, 3))
-    p.add_argument("--n", type=_int_list, required=True)
-    p.add_argument("--horizon", type=int, default=8)
-    p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--stride", type=int, default=1)
-    common(p)
+    ):
+        p.add_argument("--input", required=True)
+        p.add_argument("--k", type=int, choices=(2, 3))
+        p.add_argument("--n", type=_int_list, required=True)
+        p.add_argument("--horizon", type=int, default=8)
+        p.add_argument("--methods", default=",".join(METHODS))
+        p.add_argument("--stride", type=int, default=1)
+        common(p)
 
-    p = sub.add_parser(
+    if p := add(
         "discretize",
         help="price CSV to down/flat/up state CSV",
         description="Output columns: timestamp,state",
-    )
-    p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--interval", type=float, help="resample interval in seconds")
-    common(p)
+    ):
+        p.add_argument("--input", required=True)
+        p.add_argument("--threshold", type=float, default=1e-4)
+        p.add_argument("--interval", type=float, help="resample interval in seconds")
+        common(p)
 
     return parser
 
@@ -311,7 +315,8 @@ _COMMANDS = {
 
 def run(argv) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
-    parser = _build_parser()
+    # only the invoked subcommand's parser; help, --version and unknown commands need them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -1,9 +1,12 @@
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from maxent_markov import (
@@ -14,6 +17,7 @@ from maxent_markov import (
     accuracy_gain,
     critical_sample_size,
     critical_size_map,
+    entropy_rate,
     feasible_range,
     folded_normal_stats,
     frequency_estimate,
@@ -27,6 +31,7 @@ from maxent_markov import (
     stationary_distribution,
 )
 from maxent_markov.chains import simulate_batch
+from maxent_markov.estimators import transition_counts, transition_frequencies
 
 BINARY = StateSpace.binary()
 TERNARY = StateSpace.ternary()
@@ -34,6 +39,28 @@ TERNARY = StateSpace.ternary()
 
 def mat2(a, d):
     return StochasticMatrix(np.array([[a, 1 - a], [1 - d, d]]), BINARY)
+
+
+def matrix_gain(entries, p, counts, lattice, n):
+    """One matrix's weighted gain from its ``(R, K, K)`` counts, replicate means along axis 0."""
+    x = TERNARY.as_array()
+    pair_sums = (counts * np.outer(x, x)).sum(axis=(1, 2)).astype(np.int64)
+    err_me = np.abs(lattice[pair_sums + n - 1] - entries).mean(axis=0)
+    err_samp = np.abs(transition_frequencies(counts) - entries).mean(axis=0)
+    return float((p[:, None] * (err_samp - err_me)).sum() / 3)
+
+
+def judge_matrix(seed, sizes, replicates, lattices):
+    """One matrix alone: one ``simulate_batch`` walk and one ``matrix_gain`` per size."""
+    rng = np.random.default_rng(seed)
+    w = StochasticMatrix(rng.dirichlet(np.ones(3), size=3), TERNARY)
+    p = stationary_distribution(w)
+    best = 0.0
+    for n, lattice in zip(sizes, lattices):
+        counts = transition_counts(simulate_batch(w.entries, p.mass, n, replicates, rng), 3)
+        if matrix_gain(w.entries, p.mass, counts, lattice, n) >= 0:
+            best = float(n)
+    return best, entropy_rate(p, w)
 
 
 def reference_mean(mu, n):
@@ -279,13 +306,61 @@ class TestMuCurve:
         np.testing.assert_array_equal(a.fractions, b.fractions)
         assert np.all(np.diff(a.fractions) <= 0)
 
-    def test_three_state_worker_count_does_not_change_results(self):
-        # 25 matrices split into uneven chunks (13 + 12, 9 + 9 + 7)
+    def test_three_state_worker_count_does_not_change_results(self, monkeypatch):
+        # one matrix per block: 25 blocks split into uneven chunks (13 + 12, 9 + 9 + 7)
+        monkeypatch.setattr(accuracy, "_BLOCK_CELLS", 30 * 10)
         for samples, workers in [(24, 2), (25, 2), (25, 3)]:
             kwargs = dict(samples=samples, replicates=30, seed=7)
             (serial,) = mu_curve(3, [5, 10], workers=1, **kwargs)
             (parallel,) = mu_curve(3, [5, 10], workers=workers, **kwargs)
             np.testing.assert_array_equal(serial.fractions, parallel.fractions)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(1, 15),
+        replicates=st.integers(1, 10),
+        sizes=st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True),
+        per_block=st.sampled_from([1, 7, None]),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_blocks_and_workers_give_the_per_matrix_judgements(
+        self, seed, samples, replicates, sizes, per_block, workers
+    ):
+        sizes = sorted(sizes)
+        lattices = [maxent_entries(TERNARY, np.arange(-(n - 1), n), n - 1) for n in sizes]
+        seeds = np.random.SeedSequence(seed).spawn(samples)
+        expected = np.array([judge_matrix(s, sizes, replicates, lattices) for s in seeds]).T
+        kwargs = dict(samples=samples, replicates=replicates, seed=seed, stratify=True)
+        judged, judge = [], accuracy._judge_block
+
+        def spy(seeds, **kw):
+            judged.append(judge(seeds, **kw))
+            return judged[-1]
+
+        cells = accuracy._BLOCK_CELLS if per_block is None else per_block * replicates * sizes[-1]
+        with mock.patch.object(accuracy, "_BLOCK_CELLS", cells):
+            if workers == 1:
+                with mock.patch.object(accuracy, "_judge_block", spy):
+                    curves = mu_curve(3, sizes, **kwargs)
+                assert np.array_equal(np.concatenate(judged, axis=1), expected)  # ncs and rates
+            else:
+                curves = mu_curve(3, sizes, workers=workers, **kwargs)
+        stub = lambda seeds, **_: expected[:, [s.spawn_key[-1] for s in seeds]]
+        with mock.patch.object(accuracy, "_judge_block", stub):
+            reference = mu_curve(3, sizes, **kwargs)
+        assert [c.fractions.tolist() for c in curves] == [c.fractions.tolist() for c in reference]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), replicates=st.integers(1, 60), n=st.integers(2, 40))
+    def test_stacked_gains_equal_each_matrix_alone(self, seed, m, replicates, n):
+        rng = np.random.default_rng(seed)
+        entries = rng.dirichlet(np.ones(3), size=(m, 3))
+        p = np.stack([stationary_distribution(StochasticMatrix(e, TERNARY)).mass for e in entries])
+        counts = np.stack([transition_counts(simulate_batch(e, q, n, replicates, rng), 3) for e, q in zip(entries, p)])
+        lattice = maxent_entries(TERNARY, np.arange(-(n - 1), n), n - 1)
+        gains = accuracy._weighted_gains(entries, p, counts, lattice, n)
+        assert gains.tolist() == [matrix_gain(*args, lattice, n) for args in zip(entries, p, counts)]
 
     def test_stratified_curves(self):
         curves = mu_curve(3, [5, 10], samples=60, replicates=30, seed=5, stratify=True)
@@ -301,8 +376,9 @@ class TestMuCurve:
         for count in (5, 6, 11, 16, 23, 40):
             rates = rng.integers(0, 4, count) * 0.1 if ties else rng.random(count)
             ncs = rng.permutation(count) + 2.0
-            judged = lambda seed, **_: (ncs[seed.spawn_key[-1]], rates[seed.spawn_key[-1]])  # matrix i from seed i
-            monkeypatch.setattr(accuracy, "_judge_matrix", judged)
+            # matrix i from seed i
+            judged = lambda seeds, **_: np.array([[ncs[s.spawn_key[-1]], rates[s.spawn_key[-1]]] for s in seeds]).T
+            monkeypatch.setattr(accuracy, "_judge_block", judged)
             sizes = np.arange(2, count + 2)
             curves = mu_curve(3, sizes, samples=count, cap=count + 1, stratify=True)
             for curve in curves[:4]:
@@ -319,17 +395,18 @@ class TestMuCurve:
 
     def test_lattice_entries_are_exact_solves_at_every_pair_sum(self, monkeypatch):
         seen = []
-        judge = accuracy._judge_matrix
+        judge = accuracy._judge_block
 
-        def spy(seed, sizes, replicates, lattices):
+        def spy(seeds, sizes, replicates, lattices):
             seen.append(lattices)
-            return judge(seed, sizes, replicates, lattices)
+            return judge(seeds, sizes, replicates, lattices)
 
-        monkeypatch.setattr(accuracy, "_judge_matrix", spy)
+        monkeypatch.setattr(accuracy, "_judge_block", spy)
+        monkeypatch.setattr(accuracy, "_BLOCK_CELLS", 2 * 5 * 12)  # two matrices per block
         sizes = [5, 12]
-        mu_curve(3, sizes, samples=4, replicates=5, seed=1)
-        # one task per matrix, all sharing the lattices solved once
-        assert len(seen) == 4
+        mu_curve(3, sizes, samples=5, replicates=5, seed=1)
+        # one task per block, all sharing the lattices solved once
+        assert len(seen) == 3
         assert all(lattices is seen[0] for lattices in seen)
         bounds = feasible_range(TERNARY)
         for n, lattice in zip(sizes, seen[0]):
@@ -344,8 +421,8 @@ class TestMuCurve:
         p = stationary_distribution(StochasticMatrix(entries, TERNARY)).mass
         for n in [2, 8, 50]:
             lattice = maxent_entries(TERNARY, np.arange(-(n - 1), n), n - 1)
-            gain = accuracy._empirical_weighted_gain(entries, p, n, replicates, np.random.default_rng(9), lattice)
             paths = simulate_batch(entries, p, n, replicates, np.random.default_rng(9))
+            (gain,) = accuracy._weighted_gains(entries[None], p[None], transition_counts(paths, 3)[None], lattice, n)
             windows = [StateSequence(path, 3) for path in paths]
             me = np.stack([maxent_estimate(w, TERNARY).matrix.entries for w in windows])
             samp = np.stack([frequency_estimate(w).entries for w in windows])

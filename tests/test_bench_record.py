@@ -59,6 +59,18 @@ def test_lower_in_counts_rounds_where_the_change_median_is_lower():
     assert bench_record.lower_in(record) == {"w": {"run_s": 2, "peak_rss_mb": 1}}
 
 
+def test_ratio_is_the_median_over_rounds_of_change_over_parent():
+    def run(run_s, rss):
+        return {"metrics": {"run_s": {"median": run_s}, "peak_rss_mb": {"median": rss}}}
+
+    record = {"sides": {
+        "parent": {"workloads": {"w": [run(1.0, 40.0), run(2.0, 40.0), run(4.0, 40.0)]}},
+        "change": {"workloads": {"w": [run(0.5, 40.0), run(3.0, 30.0), run(1.0, 50.0)]}},
+    }}
+    # per-round quotients 0.5, 1.5, 0.25: their median, not the quotient of the medians (2/2 = 1)
+    assert bench_record.ratio(record) == {"w": {"run_s": 0.5, "peak_rss_mb": 1.0}}
+
+
 def test_side_totals_give_src_lines_and_failures_over_all_runs():
     def run(failed, attempted):
         return {"failed": failed, "attempted": attempted}

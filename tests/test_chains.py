@@ -18,7 +18,7 @@ from maxent_markov import (
     simulate,
     stationary_distribution,
 )
-from maxent_markov.chains import _walk, simulate_batch
+from maxent_markov.chains import _lockstep_walk, _walk, simulate_batch
 from maxent_markov.nonstationary import TimeVaryingMatrix, generate_time_varying
 
 from conftest import power_iteration_stationary, random_irreducible
@@ -287,13 +287,18 @@ class TestSimulate:
         w = mat2(0.7, 0.3, 0.4, 0.6)
         p = stationary_distribution(w)
         paths = simulate_batch(w.entries, p.mass, 50, 4000, rng)
-        assert paths.shape == (4000, 50)
+        assert paths.shape == (4000, 50) and paths.dtype == np.int64
         occupancy = (paths == 0).mean()
         assert abs(occupancy - p.mass[0]) < 0.02
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             simulate(mat2(0.5, 0.5, 0.5, 0.5), Distribution.uniform(2), 0, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_batch_rejects_bad_length(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            simulate_batch(np.full((2, 2), 0.5), np.full(2, 0.5), n, 3, np.random.default_rng(0))
 
 
 def oracle_walk(rows, start, u):
@@ -347,7 +352,39 @@ def walks(draw):
     return rows, start, u
 
 
+@st.composite
+def lockstep_walks(draw):
+    """A stack of matrices, their start masses, interleaved path owners and uniforms.
+
+    Some uniforms are set to 0, the largest double below 1 or a cumulative
+    entry, where the tie rule decides.
+    """
+    k = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 50]))
+    rows = draw(masses(k, m * k)).reshape(m, k, k)
+    starts = draw(masses(k, m))
+    owner = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8)))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((owner.size, n))
+    ties = np.unique(np.concatenate([np.cumsum(rows, axis=-1).ravel(), np.cumsum(starts, axis=-1).ravel()]))
+    ties = ties[ties < 1.0].tolist() + [0.0, 1.0 - 2.0**-53]
+    cell = st.tuples(st.integers(0, owner.size - 1), st.integers(0, n - 1), st.sampled_from(ties))
+    for r, t, v in draw(st.lists(cell, max_size=3 * n)):
+        u[r, t] = v
+    return rows, starts, owner, u
+
+
 class TestSamplerCore:
+    @settings(max_examples=150, deadline=None)
+    @given(lockstep_walks())
+    def test_lockstep_walk_equals_per_path_walks(self, case):
+        rows, starts, owner, u = case
+        paths = _lockstep_walk(rows, starts, owner, u)
+        assert paths.shape == u.shape
+        for path, m, uniforms in zip(paths, owner, u):
+            np.testing.assert_array_equal(path, _walk(rows[m], starts[m], uniforms[None])[0])
+            np.testing.assert_array_equal(path, oracle_walk(rows[m], starts[m], uniforms))
+
     @settings(max_examples=150, deadline=None)
     @given(walks())
     def test_matches_per_step_searchsorted(self, case):

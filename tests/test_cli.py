@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from maxent_markov import Distribution, StateSpace, StochasticMatrix, simulate
+from maxent_markov import Distribution, StateSpace, StochasticMatrix, cli, simulate
 from maxent_markov.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, main
 from maxent_markov.ingest import write_states
 
@@ -405,11 +405,36 @@ class TestExitCodes:
         assert main(["estimate", "--input", str(inp), "--output", str(out)]) == EXIT_NUMERIC
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["frobnicate"], ["--k", "3", "mucurve"]])
+    def test_only_a_leading_known_command_narrows_the_parser(self, monkeypatch, argv):
+        built, full = [], cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or full(command))
+        main(argv)
+        assert built == [None]
+        main(["ncmap", "--grid", "x"])
+        assert built == [None, "ncmap"]
+
     def test_stdout_when_no_output(self, tmp_path, capsys):
         inp = write_states_csv(tmp_path, [1, -1, 1, -1])
         assert main(["estimate", "--input", str(inp)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("# {")
+
+
+@pytest.mark.parametrize("flags", [["--help"], ["--bogus"], ["--format", "xml"], ["--output"]])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_subcommand_parser_prints_and_exits_as_the_full_one(monkeypatch, capsys, command, flags):
+    def outcome():
+        code = main([command, *flags])
+        return code, *capsys.readouterr()
+
+    narrow = outcome()
+    assert narrow[0] == (EXIT_OK if flags == ["--help"] else EXIT_USAGE)
+    assert list(next(a for a in _build_parser(command)._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices) == [command]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert outcome() == narrow
 
 
 ONE_TABLE_ARGV = {

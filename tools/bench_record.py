@@ -12,9 +12,11 @@ It keeps the medians and quartiles that ``run.py`` prints, its
 ``failed`` / ``attempted`` counts and its context line (which holds the
 ``src/`` line count), and writes ``BENCH_<pr>.json`` into the current
 directory.  Under ``lower_in`` it records, per workload and metric, the
-number of rounds whose change median is below the parent's, and prints
-one such summary line per workload, then one line per side with its
-``src/`` line count and its failed / attempted invocations over all runs.
+number of rounds whose change median is below the parent's, and under
+``ratio`` the median over rounds of the change median divided by the
+parent's.  It prints both in one summary line per workload, then one line
+per side with its ``src/`` line count and its failed / attempted
+invocations over all runs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +98,21 @@ def lower_in(record: dict) -> dict[str, dict[str, int]]:
     return counts
 
 
+def ratio(record: dict) -> dict[str, dict[str, float]]:
+    """Per workload and metric: the median over rounds of the change median divided by the parent's."""
+    parent, change = (record["sides"][name]["workloads"] for name in ("parent", "change"))
+    return {
+        workload: {
+            metric: statistics.median(
+                c["metrics"][metric]["median"] / p["metrics"][metric]["median"]
+                for p, c in zip(parent[workload], runs)
+            )
+            for metric in runs[0]["metrics"]
+        }
+        for workload, runs in change.items()
+    }
+
+
 def side_totals(record: dict) -> list[str]:
     """One line per side: its ``src/`` line count and its failed / attempted invocations over all runs."""
     lines = []
@@ -134,8 +152,11 @@ def main(argv=None) -> int:
                       f"run_s {run['metrics']['run_s']['median']:.4f} s, "
                       f"{run['failed']}/{run['attempted']} failed", flush=True)
     record["lower_in"] = lower_in(record)
+    record["ratio"] = ratio(record)
     for workload, counts in record["lower_in"].items():
-        summary = ", ".join(f"{metric} {n}/{ROUNDS}" for metric, n in counts.items())
+        summary = ", ".join(
+            f"{metric} {n}/{ROUNDS} (x{record['ratio'][workload][metric]:.3f})" for metric, n in counts.items()
+        )
         print(f"{workload}: change lower in {summary}")
     for line in side_totals(record):
         print(line)
