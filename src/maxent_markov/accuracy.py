@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (
-    Distribution,
     StateSpace,
     StochasticMatrix,
+    _entropy_rates,
     _lockstep_walk,
-    entropy_rate,
+    _stationary_masses,
+    _stochastic_rows,
     matrix_autocorrelation,
     stationary_distribution,
 )
@@ -33,7 +34,7 @@ from .solver import maxent_2state
 
 DEFAULT_CAP = 500
 DEFAULT_REPLICATES = 200
-_BLOCK_CELLS = 1 << 16  # (path, step) cells of a block of matrices walked together: bounds the uniforms held
+_BLOCK_CELLS = 150_000  # (path, step) cells over all sizes per block: its uniform buffer sets the sweep's peak memory
 
 
 @dataclass(frozen=True)
@@ -255,48 +256,61 @@ def critical_size_map(resolution: int = 100, cap: int = DEFAULT_CAP) -> Critical
     return CriticalSizeMap(a, d, weighted, nc_down, nc_up, cap)
 
 
-def _weighted_gains(entries: np.ndarray, p: np.ndarray, counts: np.ndarray, lattice: np.ndarray, n: int) -> np.ndarray:
-    """Stationary-weighted mean error gain of maxent over sampling at size ``n``, one per 3-state matrix.
+def _weighted_gains(entries: np.ndarray, p: np.ndarray, counts: np.ndarray, lattice: np.ndarray, zero) -> np.ndarray:
+    """Stationary-weighted mean error gain of maxent over sampling, one per 3-state matrix.
 
     ``counts`` ``(M, R, K, K)`` holds the transition counts of each matrix's
     ``R`` paths, and each path is scored by its own estimates.
-    ``lattice[S + n - 1]`` is the maxent matrix of pair-sum ``S``; a path's
-    pair-sum is ``sum_ij counts_ij x_i x_j``, exact on the integer states.
+    ``lattice[zero + S]`` is the maxent matrix of pair-sum ``S`` (``zero`` is
+    one row or one per matrix); a path's pair-sum is ``sum_ij counts_ij x_i x_j``,
+    exact on the integer states.  Counts run ``(K * K, M, R)``, not copied
+    when laid out so in memory, and errors ``(R, M, K * K)``.
     """
-    m, _, k, _ = counts.shape
+    m, r, k, _ = counts.shape
     x = StateSpace.ternary().as_array()
-    pair_sums = (counts.reshape(m, -1, k * k) @ np.outer(x, x).ravel()).astype(np.int64)  # exact integers
-    # replicate means along axis 1 add the paths in order, as one matrix's axis-0 mean does
-    err_me = np.abs(lattice.take(pair_sums + n - 1, axis=0) - entries[:, None]).mean(axis=1)
-    err_samp = np.abs(transition_frequencies(counts) - entries[:, None]).mean(axis=1)
-    return (p[:, :, None] * (err_samp - err_me)).reshape(m, -1).sum(axis=1) / k
+    counts, freq = (
+        np.moveaxis(c, (-2, -1), (0, 1)).reshape(k * k, m, r) for c in (counts, transition_frequencies(counts))
+    )
+    pair_sums = (np.outer(x, x).ravel() @ counts.reshape(k * k, -1)).astype(np.int64).reshape(m, r)
+    maxent = lattice.reshape(-1, k * k).take((pair_sums + np.reshape(zero, (-1, 1))).T, axis=0)
+    truth = entries.reshape(m, k * k)
+    # the sum over the outer axis R adds the paths in order, as one matrix's mean over its paths does
+    err = [np.add.reduce(np.abs(e, out=e), axis=0) / r for e in (np.subtract(freq.T, truth, order="C"), maxent - truth)]
+    # each matrix's K * K weighted gains summed in one row, as one matrix alone sums them
+    return (np.repeat(p, k, axis=1) * (err[0] - err[1])).sum(axis=1) / k
 
 
 def _judge_block(seeds, sizes: np.ndarray, replicates: int, lattices: list) -> np.ndarray:
     """Empirical critical sizes and entropy rates of the random 3-state matrices drawn from ``seeds``, shape ``(2, M)``.
 
     Each matrix's generator draws its Dirichlet rows, then, size by size,
-    the start uniforms and the step uniforms of its ``replicates`` paths.
-    Per size, the paths of every matrix are walked in one lock-step walk
-    and counted in one call.
+    the start and step uniforms of its ``replicates`` paths into one
+    ``(step, path)`` buffer whose paths run largest size first.  One
+    lock-step walk takes every path; they are counted size by size and
+    scored together.
     """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    matrices = [StochasticMatrix(rng.dirichlet(np.ones(3), size=3), StateSpace.ternary()) for rng in rngs]
-    ps = [stationary_distribution(w) for w in matrices]
-    entries = np.stack([w.entries for w in matrices])
-    p = np.stack([q.mass for q in ps])
-    owner = np.repeat(np.arange(len(rngs)), replicates)
-    best = np.zeros(len(rngs))
-    for n, lattice in zip(sizes, lattices):
-        u = np.empty((n, owner.size))  # (step, path): the layout the walk reads, so it copies nothing
-        for i, rng in enumerate(rngs):
-            own = slice(i * replicates, (i + 1) * replicates)
-            u[0, own] = rng.random(replicates)
-            u[1:, own] = rng.random((replicates, n - 1)).T
-        counts = transition_counts(_lockstep_walk(entries, p, owner, u.T), 3)
-        gains = _weighted_gains(entries, p, counts.reshape(len(rngs), replicates, 3, 3), lattice, n)
-        best = np.where(gains >= 0, float(n), best)
-    return np.stack([best, [entropy_rate(q, w) for q, w in zip(ps, matrices)]])
+    m, r, s = len(seeds), replicates, sizes.size
+    u = np.empty((sizes[-1], s, m, r))  # the layout the walk reads, so it copies nothing
+    rows = []
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rows.append(rng.dirichlet(np.ones(3), size=3))
+        for j, n in enumerate(sizes):
+            rng.random(out=u[0, s - 1 - j, i])
+            u[1:n, s - 1 - j, i] = rng.random((r, n - 1)).T
+    entries = _stochastic_rows(np.stack(rows), (m, 3, 3))
+    p = _stationary_masses(entries)
+    owner = np.tile(np.repeat(np.arange(m), r), s)
+    walked = _lockstep_walk(entries, p, owner, u.reshape(sizes[-1], -1).T, np.repeat(sizes[::-1], m * r))
+    del u  # the uniforms are spent: free them before the counts
+    counts, paths = np.empty((3, 3, s, m, r)), walked.reshape(s, m, r, -1)  # counts coefficient first, as scored
+    for g, n in enumerate(sizes[::-1]):
+        counts[:, :, g] = np.moveaxis(transition_counts(paths[g, ..., :n], 3), (-2, -1), (0, 1))
+    zero = np.repeat((np.cumsum(2 * sizes - 1) - sizes)[::-1], m)  # each size's pair-sum 0 in the stacked lattices
+    stacked = np.tile(entries, (s, 1, 1)), np.tile(p, (s, 1)), np.moveaxis(counts, (0, 1), (3, 4)).reshape(-1, r, 3, 3)
+    gains = _weighted_gains(*stacked, np.concatenate(lattices), zero).reshape(s, m)
+    best = (sizes[::-1, None] * (gains >= 0)).max(axis=0)
+    return np.stack([best, _entropy_rates(p, entries)])
 
 
 def mu_curve(
@@ -320,9 +334,9 @@ def mu_curve(
     critical size of a matrix is the largest scanned ``n`` at which the
     stationary-weighted mean error gain is still nonnegative.  Each matrix
     draws from its own spawned seed.  The matrices are judged in blocks of
-    at most ``_BLOCK_CELLS`` (path, step) cells at the largest size, and
-    ``workers`` processes, which take the blocks in chunks of
-    ``ceil(blocks / workers)``, give the serial result.
+    at most ``_BLOCK_CELLS`` (path, step) cells over all sizes, one walk and
+    one scoring call each; ``workers`` processes, which take the blocks in
+    chunks of ``ceil(blocks / workers)``, give the serial result.
 
     With ``stratify`` (three states only) one curve is emitted per
     cumulated entropy-rate quintile: stratum ``q`` covers the matrices in
@@ -356,7 +370,7 @@ def mu_curve(
         lattices = np.split(flat, np.cumsum(points)[:-1])
         judge = functools.partial(_judge_block, sizes=sizes, replicates=replicates, lattices=lattices)
         seeds = np.random.SeedSequence(seed).spawn(samples)
-        step = max(_BLOCK_CELLS // (replicates * int(sizes.max())), 1)
+        step = max(_BLOCK_CELLS // (replicates * int(sizes.sum())), 1)
         blocks = [seeds[i : i + step] for i in range(0, samples, step)]
         if workers > 1:
             # imported here: it pulls in multiprocessing, which one worker never needs

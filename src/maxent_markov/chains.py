@@ -186,13 +186,32 @@ def _require_consistent(p: Distribution, w: StochasticMatrix) -> None:
         raise ValueError(f"distribution has {p.size} states, matrix has {w.size}")
 
 
+def _irreducible(entries: np.ndarray) -> np.ndarray:
+    """``is_irreducible`` for each matrix of a stack ``(..., K, K)``, by batched integer matmuls."""
+    step = (entries > 0).astype(np.int64)
+    reach = step
+    for _ in range(entries.shape[-1] - 1):
+        reach = np.minimum(reach + reach @ step, 1)
+    return reach.all(axis=(-2, -1))
+
+
 def is_irreducible(w: StochasticMatrix) -> bool:
     """Exact reachability on the integer zero pattern of ``W`` (float powers underflow)."""
-    step = (w.entries > 0).astype(np.int64)
-    reach = step
-    for _ in range(w.size - 1):
-        reach = np.minimum(reach + reach @ step, 1)
-    return bool(np.all(reach))
+    return bool(_irreducible(w.entries))
+
+
+def _stationary_masses(entries: np.ndarray) -> np.ndarray:
+    """``stationary_distribution``'s masses ``(..., K)`` of a stack ``(..., K, K)``, as each matrix alone gets them."""
+    if not np.all(_irreducible(entries)):
+        raise ReducibleChainError("transition matrix is reducible: no unique stationary distribution")
+    a = np.array(entries, dtype=float)
+    for n in range(a.shape[-1] - 1, 0, -1):
+        a[..., :n, n] /= a[..., n, :n].sum(axis=-1, keepdims=True)
+        a[..., :n, :n] += a[..., :n, n, None] * a[..., n, None, :n]
+    p = np.ones(a.shape[:-1])
+    for n in range(1, a.shape[-1]):
+        p[..., n] = (p[..., None, :n] @ a[..., :n, n : n + 1])[..., 0, 0]  # batched: each dot as one matrix takes it
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def stationary_distribution(w: StochasticMatrix) -> Distribution:
@@ -208,18 +227,14 @@ def stationary_distribution(w: StochasticMatrix) -> Distribution:
         ReducibleChainError: if the chain is not irreducible (no unique
             stationary distribution).
     """
-    if not is_irreducible(w):
-        raise ReducibleChainError(
-            "transition matrix is reducible: no unique stationary distribution"
-        )
-    a = w.entries.copy()
-    for n in range(w.size - 1, 0, -1):
-        a[:n, n] /= a[n, :n].sum()
-        a[:n, :n] += np.outer(a[:n, n], a[n, :n])
-    p = np.ones(w.size)
-    for n in range(1, w.size):
-        p[n] = p[:n] @ a[:n, n]
-    return Distribution(p / p.sum())
+    return Distribution(_stationary_masses(w.entries))
+
+
+def _entropy_rates(mass: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """``-sum_ij p_i W_ij ln W_ij`` of masses ``(..., K)`` and matrices ``(..., K, K)``, summed as for one matrix."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(entries > 0, entries * np.log(np.where(entries > 0, entries, 1.0)), 0.0)
+    return -(mass[..., :, None] * plogp).reshape(mass.shape[:-1] + (-1,)).sum(axis=-1)
 
 
 def entropy_rate(p: Distribution, w: StochasticMatrix) -> float:
@@ -231,10 +246,7 @@ def entropy_rate(p: Distribution, w: StochasticMatrix) -> float:
     a free marginal.
     """
     _require_consistent(p, w)
-    t = w.entries
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
-    return float(-(p.mass[:, None] * plogp).sum())
+    return float(_entropy_rates(p.mass, w.entries))
 
 
 def matrix_autocorrelation(p: Distribution, w: StochasticMatrix) -> float:
@@ -299,34 +311,34 @@ def simulate(
     return StateSequence(_walk(w.entries, start.mass, u[None])[0], w.size)
 
 
-def _lockstep_walk(rows: np.ndarray, start: np.ndarray, owner: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _lockstep_walk(rows: np.ndarray, start: np.ndarray, owner: np.ndarray, u: np.ndarray, lengths) -> np.ndarray:
     """Inverse-CDF paths over a stack of matrices, one per row of ``u``: ``uint8``, shape ``u.shape``.
 
     Path ``r`` walks ``rows[owner[r]]`` (``rows`` is ``(M, K, K)``) from the
     mass ``start[owner[r]]`` (``start`` is ``(M, K)``), by ``_walk``'s draw
-    rule; ``K`` is at most 256.  All paths take each step together: the
-    step gathers the first ``K - 1`` cumulative entries of every path's
-    current row and counts those ``<= u``.  No next-state table is built,
-    so every per-step array has one entry per path.  ``_walk`` stays the
-    walk of per-step rows: on one matrix and long paths its table is the
-    faster loop, but over many matrices the table's memory traffic costs
-    more than it saves.
+    rule, for ``lengths[r]`` steps (it holds 0 past them); ``K`` is at most
+    256.  ``lengths`` must not increase, so the paths still walking at a
+    step are a prefix, and all of them take the step together: it gathers
+    the first ``K - 1`` cumulative entries of each one's current row and
+    counts those ``<= u``.  No next-state table is built, so every per-step
+    array has one entry per path.  ``_walk`` stays the walk of per-step
+    rows: on one matrix and long paths its table is the faster loop, but
+    over many matrices the table's memory traffic costs more than it saves.
     """
     r, n = u.shape
     k = start.shape[-1]
     cum = _cdf(rows)[..., :-1].reshape(-1, k - 1).T.copy()  # cum[j, matrix * K + state]: entry j of that row
     base = owner * k
     ut = np.ascontiguousarray(u.T)  # one step's uniforms per row
-    path = np.empty((n, r), dtype=np.uint8)
+    path = np.zeros((n, r), dtype=np.uint8)
     path[0] = (_cdf(start)[owner, :-1] <= ut[0, :, None]).sum(axis=1)
-    flat, entry, hit = np.empty(r, dtype=np.intp), np.empty(r), np.empty(r, dtype=bool)
-    for t in range(1, n):
-        np.add(base, path[t - 1], out=flat)
-        cur = path[t]
-        np.less_equal(cum[0].take(flat, out=entry), ut[t], out=cur.view(bool))
-        for column in cum[1:]:
-            cur += np.less_equal(column.take(flat, out=entry), ut[t], out=hit).view(np.uint8)
-    return np.ascontiguousarray(path.T)
+    walking = np.searchsorted(-np.asarray(lengths), -np.arange(1, n))  # the paths longer than t
+    flat = np.empty(r, dtype=np.intp)
+    for t, a in enumerate(walking, 1):
+        np.add(base[:a], path[t - 1, :a], out=flat[:a])
+        hits = np.less_equal(cum.take(flat[:a], axis=1, mode="clip"), ut[t, :a])  # flat is in range: no check
+        np.add.reduce(hits.view(np.uint8), axis=0, out=path[t, :a])
+    return path.T
 
 
 def simulate_batch(
@@ -340,8 +352,7 @@ def simulate_batch(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    u = rng.random(replicates)[:, None]
-    if n > 1:
-        u = np.concatenate([u, rng.random((replicates, n - 1))], axis=1)
-    owner = np.zeros(replicates, dtype=np.intp)
-    return _lockstep_walk(np.asarray(entries)[None], np.asarray(start)[None], owner, u).astype(np.int64)
+    u = np.column_stack([rng.random(replicates), rng.random((replicates, n - 1))])
+    owner, lengths = np.zeros(replicates, dtype=np.intp), np.full(replicates, n)
+    paths = _lockstep_walk(np.asarray(entries)[None], np.asarray(start)[None], owner, u, lengths)
+    return paths.astype(np.int64, order="C")

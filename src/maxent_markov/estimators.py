@@ -62,7 +62,7 @@ def transition_counts(paths: np.ndarray, k: int) -> np.ndarray:
     lead = paths.shape[:-1]
     m = math.prod(lead)
     codes = paths[..., :-1] * k + paths[..., 1:] + (np.arange(m) * (k * k)).reshape(lead + (1,))
-    return np.bincount(codes.ravel(), minlength=m * k * k).reshape(lead + (k, k)).astype(float)
+    return np.bincount(codes.ravel(order="K"), minlength=m * k * k).reshape(lead + (k, k)).astype(float)
 
 
 def transition_frequencies(counts: np.ndarray) -> np.ndarray:

@@ -186,11 +186,6 @@ def _realized_weights(support: np.ndarray, masses: np.ndarray, sums: np.ndarray)
     return _weights(placed, total / 100.0, inverse[support.size :])
 
 
-def _assign(value: int, q: StepDistribution) -> np.ndarray:
-    """Per-bin weights credited when a realized sum equals ``value``: one row of ``_realized_weights``."""
-    return _realized_weights(q.support, q.probabilities[None], np.array([value]))[0]
-
-
 def realized_centile_fractions(
     series: StateSequence,
     states: StateSpace,

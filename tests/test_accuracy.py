@@ -338,7 +338,7 @@ class TestMuCurve:
             judged.append(judge(seeds, **kw))
             return judged[-1]
 
-        cells = accuracy._BLOCK_CELLS if per_block is None else per_block * replicates * sizes[-1]
+        cells = accuracy._BLOCK_CELLS if per_block is None else per_block * replicates * sum(sizes)
         with mock.patch.object(accuracy, "_BLOCK_CELLS", cells):
             if workers == 1:
                 with mock.patch.object(accuracy, "_judge_block", spy):
@@ -359,7 +359,7 @@ class TestMuCurve:
         p = np.stack([stationary_distribution(StochasticMatrix(e, TERNARY)).mass for e in entries])
         counts = np.stack([transition_counts(simulate_batch(e, q, n, replicates, rng), 3) for e, q in zip(entries, p)])
         lattice = maxent_entries(TERNARY, np.arange(-(n - 1), n), n - 1)
-        gains = accuracy._weighted_gains(entries, p, counts, lattice, n)
+        gains = accuracy._weighted_gains(entries, p, counts, lattice, n - 1)
         assert gains.tolist() == [matrix_gain(*args, lattice, n) for args in zip(entries, p, counts)]
 
     def test_stratified_curves(self):
@@ -402,7 +402,7 @@ class TestMuCurve:
             return judge(seeds, sizes, replicates, lattices)
 
         monkeypatch.setattr(accuracy, "_judge_block", spy)
-        monkeypatch.setattr(accuracy, "_BLOCK_CELLS", 2 * 5 * 12)  # two matrices per block
+        monkeypatch.setattr(accuracy, "_BLOCK_CELLS", 2 * 5 * (5 + 12))  # two matrices per block
         sizes = [5, 12]
         mu_curve(3, sizes, samples=5, replicates=5, seed=1)
         # one task per block, all sharing the lattices solved once
@@ -422,7 +422,7 @@ class TestMuCurve:
         for n in [2, 8, 50]:
             lattice = maxent_entries(TERNARY, np.arange(-(n - 1), n), n - 1)
             paths = simulate_batch(entries, p, n, replicates, np.random.default_rng(9))
-            (gain,) = accuracy._weighted_gains(entries[None], p[None], transition_counts(paths, 3)[None], lattice, n)
+            (gain,) = accuracy._weighted_gains(entries[None], p[None], transition_counts(paths, 3)[None], lattice, n - 1)
             windows = [StateSequence(path, 3) for path in paths]
             me = np.stack([maxent_estimate(w, TERNARY).matrix.entries for w in windows])
             samp = np.stack([frequency_estimate(w).entries for w in windows])

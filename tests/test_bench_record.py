@@ -83,3 +83,31 @@ def test_side_totals_give_src_lines_and_failures_over_all_runs():
         "parent: src_lines 2429, 1/218 invocations failed",
         "change: src_lines 2425, 2/221 invocations failed",
     ]
+
+
+def test_shift_is_the_change_of_the_round_median_next_to_the_parent_iqr():
+    def run(run_s):
+        return {"metrics": {"run_s": {"median": run_s, "unit": "s"}}}
+
+    record = {"sides": {
+        "parent": {"workloads": {"w": [run(v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)]}},
+        "change": {"workloads": {"w": [run(v) for v in (0.5, 1.0, 1.5, 2.0, 9.0)]}},
+    }}
+    # medians 3.0 -> 1.5; the parent's round medians have quartiles 2.0 and 4.0
+    assert bench_record.shift(record) == {"w": {"run_s": {"change": -1.5, "parent_iqr": 2.0}}}
+
+
+def test_summary_reads_the_gate_off_one_line_per_workload():
+    def run(run_s, rss):
+        return {"metrics": {"run_s": {"median": run_s, "unit": "s"}, "peak_rss_mb": {"median": rss, "unit": "MB"}}}
+
+    record = {"sides": {
+        "parent": {"workloads": {"w": [run(0.2, 40.0), run(0.3, 40.0), run(0.4, 41.0)]}},
+        "change": {"workloads": {"w": [run(0.1, 41.5), run(0.2, 41.0), run(0.2, 42.0)]}},
+    }}
+    for key in ("lower_in", "ratio", "shift"):
+        record[key] = getattr(bench_record, key)(record)
+    assert bench_record.summary(record) == [
+        "w: change lower in run_s 3/3 (x0.500, -0.1 s, parent IQR 0.1 s), "
+        "peak_rss_mb 0/3 (x1.025, +1.5 MB, parent IQR 0.5 MB)"
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from maxent_markov import (
     simulate,
     stationary_distribution,
 )
-from maxent_markov.chains import _lockstep_walk, _walk, simulate_batch
+from maxent_markov.chains import _entropy_rates, _irreducible, _lockstep_walk, _stationary_masses, _walk, simulate_batch
 from maxent_markov.nonstationary import TimeVaryingMatrix, generate_time_varying
 
 from conftest import power_iteration_stationary, random_irreducible
@@ -301,6 +302,64 @@ class TestSimulate:
             simulate_batch(np.full((2, 2), 0.5), np.full(2, 0.5), n, 3, np.random.default_rng(0))
 
 
+def gth_one_matrix(entries):
+    """Grassmann-Taksar-Heyman reduction of one matrix, entry by entry: outer-product updates, 1-D dot products."""
+    a = entries.copy()
+    k = len(a)
+    for n in range(k - 1, 0, -1):
+        a[:n, n] /= a[n, :n].sum()
+        a[:n, :n] += np.outer(a[:n, n], a[n, :n])
+    p = np.ones(k)
+    for n in range(1, k):
+        p[n] = p[:n] @ a[:n, n]
+    return p / p.sum()
+
+
+@st.composite
+def irreducible_stacks(draw):
+    """``(M, K, K)`` irreducible matrices with exact zeros and entries down to 1e-12 (near-reducible rows)."""
+    k, m = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0.0), st.floats(-12, 0).map(lambda e: 10.0**e), st.floats(0.0, 1.0))
+    raw = np.array(draw(st.lists(entry, min_size=m * k * k, max_size=m * k * k))).reshape(m, k, k)
+    for block in raw:  # a positive k-cycle through a drawn ordering makes each matrix irreducible
+        order = draw(st.permutations(range(k)))
+        cycle = (np.array(order), np.roll(order, -1))
+        block[cycle] = np.maximum(block[cycle], draw(st.sampled_from([1e-12, 0.5])))
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+class TestStackedChainQuantities:
+    @settings(max_examples=200, deadline=None)
+    @given(irreducible_stacks())
+    def test_stacked_results_equal_each_matrix_alone(self, stack):
+        k = stack.shape[-1]
+        masses, rates = _stationary_masses(stack), _entropy_rates(_stationary_masses(stack), stack)
+        assert np.all(_irreducible(stack))
+        for entries, mass, rate in zip(stack, masses, rates):
+            w = StochasticMatrix(entries, StateSpace.default(k))
+            p = stationary_distribution(w)
+            assert mass.tolist() == p.mass.tolist() == gth_one_matrix(w.entries).tolist()
+            assert rate == entropy_rate(p, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(irreducible_stacks(), st.data())
+    def test_one_reducible_matrix_fails_the_stack(self, stack, data):
+        k = stack.shape[-1]
+        reducible = np.full((k, k), 1.0 / k)
+        reducible[0] = np.eye(k)[0]  # state 0 absorbs: no other state is reachable from it
+        at = data.draw(st.integers(0, len(stack)))
+        mixed = np.insert(stack, at, reducible, axis=0)
+        expected = [is_irreducible(StochasticMatrix(e, StateSpace.default(k))) for e in mixed]
+        assert _irreducible(mixed).tolist() == expected == [i != at for i in range(len(mixed))]
+        with pytest.raises(ReducibleChainError):
+            _stationary_masses(mixed)
+
+    def test_entropy_rates_take_the_stack_shape(self):
+        stack = np.array([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]])
+        rates = _entropy_rates(np.full((2, 2), 0.5), stack)
+        assert rates.shape == (2,) and rates[0] == pytest.approx(math.log(2)) and rates[1] == 0.0
+
+
 def oracle_walk(rows, start, u):
     """Per-step inverse CDF: ``searchsorted(cumsum(row), u, side="right")``.
 
@@ -379,11 +438,34 @@ class TestSamplerCore:
     @given(lockstep_walks())
     def test_lockstep_walk_equals_per_path_walks(self, case):
         rows, starts, owner, u = case
-        paths = _lockstep_walk(rows, starts, owner, u)
+        paths = _lockstep_walk(rows, starts, owner, u, np.full(owner.size, u.shape[1]))
         assert paths.shape == u.shape
         for path, m, uniforms in zip(paths, owner, u):
             np.testing.assert_array_equal(path, _walk(rows[m], starts[m], uniforms[None])[0])
             np.testing.assert_array_equal(path, oracle_walk(rows[m], starts[m], uniforms))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lockstep_walks(), st.data())
+    def test_mixed_lengths_equal_one_walk_per_length(self, case, data):
+        rows, starts, owner, u = case
+        n = u.shape[1]
+        length = st.one_of(st.sampled_from([1, min(2, n)]), st.integers(1, n))
+        lengths = np.array(sorted(data.draw(st.lists(length, min_size=owner.size, max_size=owner.size)), reverse=True))
+        paths = _lockstep_walk(rows, starts, owner, u, lengths)
+        assert paths.dtype == np.uint8 and paths.shape == u.shape
+        for size in np.unique(lengths):
+            mine = lengths == size
+            alone = _lockstep_walk(rows, starts, owner[mine], u[mine, :size], np.full(mine.sum(), size))
+            np.testing.assert_array_equal(paths[mine, :size], alone)
+            assert not paths[mine, size:].any()
+
+    def test_batch_output_is_pinned(self):
+        rng = np.random.default_rng(11)
+        entries = rng.dirichlet(np.ones(3), size=3)
+        paths = simulate_batch(entries, np.array([0.2, 0.5, 0.3]), 40, 25, rng)
+        assert paths.dtype == np.int64 and paths.shape == (25, 40) and paths.flags.c_contiguous
+        digest = "130436539865f7da83e2ba1ffe577a8e3180911dec15f338bf53cb34d0243577"
+        assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
 
     @settings(max_examples=150, deadline=None)
     @given(walks())

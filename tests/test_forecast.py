@@ -29,7 +29,7 @@ from maxent_markov.forecast import (
     N_TAIL_BINS,
     StepDistribution,
     TailCentiles,
-    _assign,
+    _realized_weights,
     _step_masses,
     _weights,
 )
@@ -38,6 +38,12 @@ from maxent_markov.nonstationary import autocorrelation_cycle, generate_time_var
 from conftest import random_irreducible, sliced
 
 TERNARY = StateSpace.ternary()
+
+
+def assign(value: int, q: StepDistribution) -> np.ndarray:
+    """Per-bin weights credited when a realized sum equals ``value``: one row of ``_realized_weights``."""
+    return _realized_weights(q.support, q.probabilities[None], np.array([value]))[0]
+
 
 # predicted mass of each atom in the ten lower and ten upper bins, ``(width, 10)`` each
 WalkedBins = namedtuple("WalkedBins", "support probabilities lower upper target")
@@ -153,7 +159,7 @@ def per_origin_backtest(series, states, sizes, horizon, methods, stride):
                     entries = np.full((k, k), 1.0 / k)
                 q = step_distribution(StochasticMatrix(entries, states), int(series.indices[t]), horizon)
                 pred += symmetrized_centiles(q).pi
-                real += _assign(int(x[t + 1 : t + horizon + 1].sum()), q)
+                real += assign(int(x[t + 1 : t + horizon + 1].sum()), q)
             used = len(origins)
             delta[m].append(tail_error(TailCentiles(pred / used), TailCentiles(real / used)))
     return delta
@@ -434,17 +440,17 @@ class TestCumulativeShares:
             for i in np.flatnonzero(inside & far & (mass > 0)):
                 expected = np.zeros(N_TAIL_BINS)
                 expected[int(starts[i] + 1e-6)] = 1.0
-                assert np.array_equal(_assign(i - 4, q), expected)
+                assert np.array_equal(assign(i - 4, q), expected)
                 hits += 1
         assert hits > 50
 
     def test_unseen_sum_past_the_tenth_bin_gets_nothing_from_that_side(self):
         q = StepDistribution(1, 0, np.array([-1, 0, 1]), np.array([0.05, 0.0, 0.95]))
-        weights = _assign(0, q)
+        weights = assign(0, q)
         # 5 % below: the sixth lower bin; 95 % above: past the ten upper bins
         assert weights.tolist() == [0.0] * 5 + [1.0] + [0.0] * 4
         q = StepDistribution(1, 0, np.array([-1, 0, 1]), np.array([0.5, 0.0, 0.5]))
-        assert _assign(0, q).tolist() == [0.0] * N_TAIL_BINS
+        assert assign(0, q).tolist() == [0.0] * N_TAIL_BINS
 
     @pytest.mark.xfail(strict=True, reason="a sum on an atom of mass at most _DUST gets weight 0 (ROADMAP item 5)")
     def test_sum_on_a_dust_atom_counts_like_an_unseen_sum(self):
@@ -452,7 +458,7 @@ class TestCumulativeShares:
         support = np.array([-1, 0, 1])
         dust = StepDistribution(1, 0, support, np.array([0.05, 1e-19, 0.95]))
         unseen = StepDistribution(1, 0, support, np.array([0.05, 0.0, 0.95]))
-        assert _assign(0, dust).sum() == _assign(0, unseen).sum() == 1.0
+        assert assign(0, dust).sum() == assign(0, unseen).sum() == 1.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sum_on_a_subnormal_atom_warns_nothing(self):
@@ -467,7 +473,7 @@ class TestCumulativeShares:
             mass[0] += mass.sum() == 0.0
             q = StepDistribution(1, 0, np.array([-3, -1, 2, 4]), mass)
             for value in (-5, -2, 0, 1, 3, 6):
-                assert np.array_equal(_assign(value, q), walked_assign(value, scalar_bins(q)))
+                assert np.array_equal(assign(value, q), walked_assign(value, scalar_bins(q)))
 
 
 class TestSymmetrizedCentiles:
@@ -488,7 +494,7 @@ class TestSymmetrizedCentiles:
         with pytest.raises(ValueError, match="no mass"):
             symmetrized_centiles(q)
         with pytest.raises(ValueError, match="no mass"):
-            _assign(0, q)
+            assign(0, q)
 
     def test_symmetric_distribution_splits_evenly(self):
         w = StochasticMatrix.uniform(TERNARY)
@@ -496,7 +502,7 @@ class TestSymmetrizedCentiles:
         np.testing.assert_allclose(symmetrized_centiles(q).pi, 0.02, atol=1e-15)
         # mirror symmetry of the atom split, q(k) = q(-k): a sum and its negation weigh the same
         for k in (0, 1, 2):
-            np.testing.assert_allclose(_assign(k, q), _assign(-k, q), atol=1e-15)
+            np.testing.assert_allclose(assign(k, q), assign(-k, q), atol=1e-15)
 
     def test_five_atom_hand_quantile_oracle(self):
         # uniform two-step distribution: masses (1/9, 2/9, 3/9, 2/9, 1/9) on
@@ -505,16 +511,16 @@ class TestSymmetrizedCentiles:
         # so a realized -2 or 2 weighs each centile 0.01 / (1/9) and the rest nothing
         w = StochasticMatrix.uniform(TERNARY)
         q = step_distribution(w, 1, 2)
-        np.testing.assert_allclose(_assign(-2, q), 0.09, atol=1e-14)
-        np.testing.assert_allclose(_assign(2, q), 0.09, atol=1e-14)
+        np.testing.assert_allclose(assign(-2, q), 0.09, atol=1e-14)
+        np.testing.assert_allclose(assign(2, q), 0.09, atol=1e-14)
         for value in (-1, 0, 1):
-            np.testing.assert_allclose(_assign(value, q), 0.0, atol=1e-14)
+            np.testing.assert_allclose(assign(value, q), 0.0, atol=1e-14)
 
     def test_atom_straddling_a_boundary_is_split(self):
         # masses (0.015, 0.985): the first atom fills lower centile 1 and half of 2;
         # the second fills the other half and the rest, and all ten upper centiles
         q = StepDistribution(1, 0, np.array([-1, 1]), np.array([0.015, 0.985]))
-        split = q.probabilities[:, None] * np.array([_assign(-1, q), _assign(1, q)])
+        split = q.probabilities[:, None] * np.array([assign(-1, q), assign(1, q)])
         np.testing.assert_allclose(split[0], [0.01, 0.005] + [0.0] * 8, rtol=0, atol=1e-15)
         np.testing.assert_allclose(split[1], [0.01, 0.015] + [0.02] * 8, rtol=0, atol=1e-15)
 
@@ -562,7 +568,7 @@ class TestRealizedFractions:
 
     def test_split_atom_inherits_weights(self):
         q = StepDistribution(1, 0, np.array([-1, 1]), np.array([0.015, 0.985]))
-        weights = _assign(-1, q)
+        weights = assign(-1, q)
         # the atom's mass 0.015 was split 0.01 / 0.005 between bins 1 and 2
         assert weights[0] == pytest.approx(0.01 / 0.015)
         assert weights[1] == pytest.approx(0.005 / 0.015)
@@ -717,7 +723,7 @@ class TestBacktest:
                 fitted = maxent_estimate(sliced(series, t - n + 1, t + 1), TERNARY).matrix
                 q = step_distribution(fitted, int(series.indices[t]), horizon)
                 pred += symmetrized_centiles(q).pi
-                real += _assign(int(x[t + 1 : t + horizon + 1].sum()), q)
+                real += assign(int(x[t + 1 : t + horizon + 1].sum()), q)
             used = len(origins)
             expected = tail_error(TailCentiles(pred / used), TailCentiles(real / used))
             assert report.delta["maxent"][si] == expected

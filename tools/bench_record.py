@@ -12,10 +12,14 @@ It keeps the medians and quartiles that ``run.py`` prints, its
 ``failed`` / ``attempted`` counts and its context line (which holds the
 ``src/`` line count), and writes ``BENCH_<pr>.json`` into the current
 directory.  Under ``lower_in`` it records, per workload and metric, the
-number of rounds whose change median is below the parent's, and under
+number of rounds whose change median is below the parent's; under
 ``ratio`` the median over rounds of the change median divided by the
-parent's.  It prints both in one summary line per workload, then one line
-per side with its ``src/`` line count and its failed / attempted
+parent's; and under ``shift`` the change of the median over rounds
+(change minus parent, in the metric's unit) next to the interquartile
+range of the parent's round medians.  A gain counts when the change is
+lower in at least 9 of 10 rounds and its median is lower by more than
+that range.  It prints all of them in one summary line per workload, then
+one line per side with its ``src/`` line count and its failed / attempted
 invocations over all runs.
 """
 
@@ -113,6 +117,35 @@ def ratio(record: dict) -> dict[str, dict[str, float]]:
     }
 
 
+def shift(record: dict) -> dict[str, dict[str, dict[str, float]]]:
+    """Per workload and metric: the median over rounds, change minus parent, and the parent's IQR over rounds."""
+    parent, change = (record["sides"][name]["workloads"] for name in ("parent", "change"))
+    out = {}
+    for workload, runs in change.items():
+        out[workload] = {}
+        for metric in runs[0]["metrics"]:
+            before, after = ([r["metrics"][metric]["median"] for r in side] for side in (parent[workload], runs))
+            q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive")
+            out[workload][metric] = {"change": statistics.median(after) - statistics.median(before), "parent_iqr": q3 - q1}
+    return out
+
+
+def summary(record: dict) -> list[str]:
+    """One line per workload: per metric, the rounds in which the change is lower, its ratio, shift and parent IQR."""
+    lines = []
+    for workload, counts in record["lower_in"].items():
+        runs = record["sides"]["change"]["workloads"][workload]
+        parts = []
+        for metric, n in counts.items():
+            unit, moved = runs[0]["metrics"][metric]["unit"], record["shift"][workload][metric]
+            parts.append(
+                f"{metric} {n}/{len(runs)} (x{record['ratio'][workload][metric]:.3f}, "
+                f"{moved['change']:+.4g} {unit}, parent IQR {moved['parent_iqr']:.4g} {unit})"
+            )
+        lines.append(f"{workload}: change lower in {', '.join(parts)}")
+    return lines
+
+
 def side_totals(record: dict) -> list[str]:
     """One line per side: its ``src/`` line count and its failed / attempted invocations over all runs."""
     lines = []
@@ -153,12 +186,8 @@ def main(argv=None) -> int:
                       f"{run['failed']}/{run['attempted']} failed", flush=True)
     record["lower_in"] = lower_in(record)
     record["ratio"] = ratio(record)
-    for workload, counts in record["lower_in"].items():
-        summary = ", ".join(
-            f"{metric} {n}/{ROUNDS} (x{record['ratio'][workload][metric]:.3f})" for metric, n in counts.items()
-        )
-        print(f"{workload}: change lower in {summary}")
-    for line in side_totals(record):
+    record["shift"] = shift(record)
+    for line in summary(record) + side_totals(record):
         print(line)
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
