@@ -205,13 +205,37 @@ def _stationary_masses(entries: np.ndarray) -> np.ndarray:
     if not np.all(_irreducible(entries)):
         raise ReducibleChainError("transition matrix is reducible: no unique stationary distribution")
     a = np.array(entries, dtype=float)
-    for n in range(a.shape[-1] - 1, 0, -1):
-        a[..., :n, n] /= a[..., n, :n].sum(axis=-1, keepdims=True)
-        a[..., :n, :n] += a[..., :n, n, None] * a[..., n, None, :n]
     p = np.ones(a.shape[:-1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for n in range(a.shape[-1] - 1, 0, -1):
+            a[..., :n, n] /= a[..., n, :n].sum(axis=-1, keepdims=True)
+            a[..., :n, :n] += a[..., :n, n, None] * a[..., n, None, :n]
+        for n in range(1, a.shape[-1]):
+            p[..., n] = (p[..., None, :n] @ a[..., :n, n : n + 1])[..., 0, 0]  # batched: each dot as one matrix
+        p /= p.sum(axis=-1, keepdims=True)
+    wide = ~np.all(np.isfinite(p), axis=-1)  # masses whose ratios overflow a double: those matrices in logarithms
+    if np.any(wide):
+        p[wide] = _log_masses(np.asarray(entries, dtype=float)[wide])
+    return p
+
+
+def _log_masses(entries: np.ndarray) -> np.ndarray:
+    """``_stationary_masses`` by the same reduction on the logarithms of a stack ``(..., K, K)``.
+
+    Every quantity stays finite however widely the masses spread, and the
+    masses below the smallest double come out 0; each logarithmic addition
+    costs some relative accuracy, so this serves only the matrices whose
+    plain reduction overflows.
+    """
+    with np.errstate(divide="ignore"):
+        a = np.log(entries)
+    for n in range(a.shape[-1] - 1, 0, -1):
+        a[..., :n, n] -= np.logaddexp.reduce(a[..., n, :n], axis=-1, keepdims=True)
+        a[..., :n, :n] = np.logaddexp(a[..., :n, :n], a[..., :n, n, None] + a[..., n, None, :n])
+    p = np.zeros(a.shape[:-1])
     for n in range(1, a.shape[-1]):
-        p[..., n] = (p[..., None, :n] @ a[..., :n, n : n + 1])[..., 0, 0]  # batched: each dot as one matrix takes it
-    return p / p.sum(axis=-1, keepdims=True)
+        p[..., n] = np.logaddexp.reduce(p[..., :n] + a[..., :n, n], axis=-1)
+    return np.exp(p - np.logaddexp.reduce(p, axis=-1, keepdims=True))
 
 
 def stationary_distribution(w: StochasticMatrix) -> Distribution:
@@ -221,7 +245,10 @@ def stationary_distribution(w: StochasticMatrix) -> Distribution:
     33(5), 1985): censor the states from the last down to the first, then
     back-substitute.  It only adds, multiplies and divides nonnegative
     numbers, so every component keeps full relative accuracy, also on
-    nearly reducible chains.
+    nearly reducible chains.  A chain whose masses span more than a double's
+    range (the back-substitution overflows) is reduced on logarithms
+    instead: relative accuracy about 1e-13, masses below the smallest
+    double 0.
 
     Raises:
         ReducibleChainError: if the chain is not irreducible (no unique

@@ -168,22 +168,52 @@ def _write_artifact(args, metadata: dict, table: dict) -> None:
     """Emit a fully built table; nothing is written until the data exists.
 
     ``table`` maps each column name to its column, a numpy array or a list.
-    Each column becomes Python scalars once; a CSV cell is the ``str`` of its
-    scalar, which for a float is its shortest round-trip ``repr``.
+    A CSV cell is the ``str`` of its Python scalar, which for a float is its
+    shortest round-trip ``repr``; ``_cells`` formats each distinct number of
+    an array column once, and the body is one ``%``-format of all the cells.
     """
     metadata = {"artifact_version": __version__, **metadata}
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
     if args.format == "json":
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
         doc = {"metadata": metadata, "columns": list(table), "rows": list(zip(*columns))}
-        text = json.dumps(doc, indent=2) + "\n"
+        parts = [json.dumps(doc, indent=2) + "\n"]
     else:
-        cells = [map(str, c) for c in columns]
-        lines = ["# " + json.dumps(metadata), ",".join(table), *map(",".join, zip(*cells))]
-        text = "\n".join(lines) + "\n"
+        grid = np.empty((len(next(iter(table.values()))), len(table)), dtype=object)  # row-major, as the body reads
+        for j, column in enumerate(table.values()):
+            grid[:, j] = _cells(column)
+        rows, cells = len(grid), tuple(grid.ravel().tolist())
+        del grid  # while the body is built, only the cells, the format and the text are held
+        line = ",".join(["%s"] * len(table)) + "\n"
+        parts = ["# " + json.dumps(metadata) + "\n" + ",".join(table) + "\n", line * rows % cells]
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as out:
+            out.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
+
+
+def _cells(column) -> np.ndarray | list[str]:
+    """The CSV cells of one column, the ``str`` of each value: once per distinct number of an array.
+
+    Integers whose range is shorter than the column are looked up in a table
+    of that range.  Floats are grouped by ``np.unique`` on their values,
+    which uses the float sort the estimators already load (an ``int64`` sort
+    pages in another ~0.25 MB of numpy's code); ``-0.0 == 0.0``, so each
+    zero then gets the cell of its own sign, and every NaN formats as ``nan``.
+    """
+    if not isinstance(column, np.ndarray):
+        return list(map(str, column))
+    if column.dtype.kind in "iu" and column.size and int(column.max()) - int(column.min()) < column.size:
+        low = int(column.min())
+        return np.array(list(map(str, range(low, int(column.max()) + 1))), dtype=object).take(column - low)
+    if column.dtype != np.float64:
+        return list(map(str, column.tolist()))
+    distinct, inverse = np.unique(column, return_inverse=True)
+    cells = np.array(list(map(str, distinct.tolist())), dtype=object).take(inverse)
+    zeros = column == 0.0
+    cells[zeros] = "0.0"
+    cells[zeros & np.signbit(column)] = "-0.0"
+    return cells
 
 
 def _config(args, **extra) -> dict:

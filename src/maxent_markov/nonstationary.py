@@ -26,7 +26,7 @@ from .chains import (
     _walk,
     stationary_distribution,
 )
-from .estimators import sliding_window
+from .estimators import _window_rows
 from .solver import _maxent_batch, feasible_range
 
 TRACKING_METHODS = ("maxent", "sampling")
@@ -190,9 +190,10 @@ def tracking_experiment(
     """Score window estimators of the drifting low-state stay probability.
 
     Every seed's realization comes from one stacked walk; estimates at
-    time ``t`` use the trailing window ending at ``t`` (causal alignment) and
-    are compared with the instantaneous true coefficient.  Mean absolute
-    errors are reported per seed and pooled.
+    time ``t`` use the trailing window ending at ``t`` (causal alignment),
+    as ``sliding_window`` gives them, and are compared with the
+    instantaneous true coefficient.  Mean absolute errors are reported per
+    seed and pooled.
     """
     if length <= window:
         raise ValueError("length must exceed the window")
@@ -206,8 +207,8 @@ def tracking_experiment(
     for i, path in enumerate(paths):
         series = StateSequence(path, process.states.size)
         for method in TRACKING_METHODS:
-            estimate = sliding_window(series, window, method, process.states)
-            trace = estimate.entries[:, 0, 0]
+            rows, which = _window_rows(series, process.states, method, times, window)
+            trace = rows[:, 0, 0].take(which)  # the one coefficient, not a (T, K, K) gather
             sums[method] += trace
             seed_mae[method][i] = float(np.abs(trace - truth).mean())
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,6 +316,24 @@ def gth_one_matrix(entries):
     return p / p.sum()
 
 
+def gth_exact(entries):
+    """The stationary masses of a float matrix in exact rational arithmetic, each rounded once to a float."""
+    a = [[Fraction(x) for x in row] for row in entries.tolist()]
+    k = len(a)
+    for n in range(k - 1, 0, -1):
+        departures = sum(a[n][:n])
+        for i in range(n):
+            a[i][n] /= departures
+        for i in range(n):
+            for j in range(n):
+                a[i][j] += a[i][n] * a[n][j]
+    p = [Fraction(1)]
+    for n in range(1, k):
+        p.append(sum(p[i] * a[i][n] for i in range(n)))
+    total = sum(p)
+    return np.array([float(x / total) for x in p])
+
+
 @st.composite
 def irreducible_stacks(draw):
     """``(M, K, K)`` irreducible matrices with exact zeros and entries down to 1e-12 (near-reducible rows)."""
@@ -353,6 +372,39 @@ class TestStackedChainQuantities:
         assert _irreducible(mixed).tolist() == expected == [i != at for i in range(len(mixed))]
         with pytest.raises(ReducibleChainError):
             _stationary_masses(mixed)
+
+    # irreducible, with stationary masses from ~1 down to ~3e-401: the unscaled
+    # back-substitution overflows (3e300 * 1e100) and its masses come out [0, 0, 0, nan, nan]
+    WIDE = [[1e-300, 1, 1e-200, 1e-300, 0], [0, 1e-100, 0, 1, 0], [1e-300, 1, 0, 0, 0],
+            [0, 1e-300, 1e-300, 1, 1e-300], [0, 1, 0, 0, 1e-200]]
+
+    def test_masses_wider_than_a_double_stay_finite(self):
+        w = StochasticMatrix(np.array(self.WIDE), StateSpace.default(5))
+        exact = gth_exact(w.entries)
+        assert exact[0] == 0.0 and exact[3] == pytest.approx(1.0)
+        np.testing.assert_allclose(stationary_distribution(w).mass, exact, rtol=1e-12, atol=0)
+        ordinary = np.full((5, 5), 0.2)
+        masses = _stationary_masses(np.stack([w.entries, ordinary]))
+        np.testing.assert_allclose(masses[0], exact, rtol=1e-12, atol=0)
+        assert masses[1].tolist() == gth_one_matrix(ordinary).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_wide_masses_are_finite_and_finite_ones_unchanged(self, k, data):
+        # entries down to 1e-300: some reductions overflow (or divide by an underflowed 0)
+        entry = st.one_of(st.just(0.0), st.floats(-300, 0).map(lambda e: 10.0**e))
+        raw = np.array(data.draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+        cycle = (np.arange(k), np.roll(np.arange(k), -1))
+        raw[cycle] = np.maximum(raw[cycle], data.draw(st.floats(-300, 0).map(lambda e: 10.0**e)))
+        entries = raw / raw.sum(axis=-1, keepdims=True)
+        mass = _stationary_masses(entries)
+        assert np.all(np.isfinite(mass)) and np.all(mass >= 0) and abs(mass.sum() - 1.0) <= 1e-12
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            unscaled = gth_one_matrix(entries)
+        if np.all(np.isfinite(unscaled)):
+            assert mass.tolist() == unscaled.tolist()
+        else:  # the logarithmic reduction: ~1e-16 per addition of logarithms up to ~700
+            np.testing.assert_allclose(mass, gth_exact(entries), rtol=1e-12, atol=1e-300)
 
     def test_entropy_rates_take_the_stack_shape(self):
         stack = np.array([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]])

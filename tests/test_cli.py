@@ -258,7 +258,8 @@ class TestSimulateAndTrack:
     # metadata's MAEs; the two long tracks cross stacked-walk block boundaries
     # (three seeds at 2,730 steps, 25 seeds at 327) and the long simulate
     # crosses two 8,192-step ones; "{input}" is a 1,500-step ternary path
-    # written by ``pinned_input``
+    # written by ``pinned_input``, "{prices}" a 300-row price file with
+    # fractional timestamps written by ``pinned_prices``
     PINNED = [
         (["track", "--length", "400", "--samples", "3", "--seed", "5"],
          "274b76ec7f3f1c70648b12eeb2b0faab1aa5a4f3a723014acb0b052110eeab74",
@@ -279,6 +280,22 @@ class TestSimulateAndTrack:
          "c1cbef48759428fe64372fdeae5a972f42e51ce3806b36ab3786948da8820f1d", None),
         (["forecast", "--input", "{input}", "--method", "naive", "--window", "60", "--horizon", "8"],
          "e9ca3d452bb0315c2f1e30874c0909f8f570dcc4b136956322088ca6310e9f03", None),
+        (["discretize", "--input", "{prices}"],
+         "25a590753e17a2332c51173336d093f315e77aa1f03435c6a055a37c37078f69", None),
+        (["ncmap", "--grid", "20", "--cap", "60"],
+         "c412a6391454e50a84aaec043a35e6edf26a6d95a984ca4f5fb2dadea93359c6", None),
+        (["mucurve", "--k", "3", "--n", "5,10,20", "--samples", "12", "--replicates", "30",
+          "--seed", "4", "--stratify"],
+         "58bd7aef4671b8fcf8c7154135304f309318db00423b6c34c2b10cee1e851c84", None),
+        (["estimate", "--input", "{input}", "--method", "maxent"],
+         "f59a8bf764e005d98f3365ed5fcb0a418b5ec2eefdea710d4a0e9f2e849b868a", None),
+        (["estimate", "--input", "{input}", "--method", "sampling"],
+         "5d1d9d2934e8257c677112edb408c06da3803af361eccf39952599cfdf4c694b", None),
+        (["estimate", "--input", "{input}", "--method", "naive"],
+         "0800e01f1ca51c76356ff38e3ce7813ef505adb295274dddba9a9bd0f86d6a51", None),
+        # JSON: the body is the document after its opening brace, metadata included
+        (["track", "--length", "600", "--samples", "4", "--seed", "9", "--window", "30", "--format", "json"],
+         "05f4c36f8eb05e2ff24b1cd007c2938f5dbd2facce59a6ae39c3ac39e1686d82", None),
     ]
 
     @staticmethod
@@ -289,21 +306,81 @@ class TestSimulateAndTrack:
         write_states(path, simulate(w, Distribution.uniform(3), 1500, seed=11), states)
         return path
 
+    @staticmethod
+    def pinned_prices(tmp_path):
+        moves = np.random.default_rng(3).choice([-1, 0, 1], size=300)
+        prices = 100.0 * np.cumprod(1.0 + 0.001 * moves)
+        path = tmp_path / "prices.csv"
+        path.write_text(
+            "timestamp,price\n" + "".join(f"{60.5 * t!r},{p!r}\n" for t, p in enumerate(prices.tolist()))
+        )
+        return path
+
     @pytest.mark.parametrize(
         "argv, body_sha256, maes", PINNED,
         ids=["track-400x3", "track-3000x3", "track-1000x25", "simulate-300", "simulate-20000",
-             "backtest-1500", "forecast-maxent", "forecast-naive"],
+             "backtest-1500", "forecast-maxent", "forecast-naive", "discretize-300", "ncmap-20",
+             "mucurve-3state", "estimate-maxent", "estimate-sampling", "estimate-naive", "track-json"],
     )
     def test_artifacts_are_byte_identical_to_pinned(self, tmp_path, argv, body_sha256, maes):
         out = tmp_path / "out.csv"
         if "{input}" in argv:
             argv = [str(self.pinned_input(tmp_path)) if a == "{input}" else a for a in argv]
+        if "{prices}" in argv:
+            argv = [str(self.pinned_prices(tmp_path)) if a == "{prices}" else a for a in argv]
         assert main(argv + ["--output", str(out)]) == EXIT_OK
         head, body = out.read_bytes().split(b"\n", 1)
         assert hashlib.sha256(body).hexdigest() == body_sha256
         if maes is not None:
             metadata = json.loads(head[2:])
             assert (metadata["mae_maxent"], metadata["mae_sampling"]) == maes
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(np.float64)
+
+
+class TestWriterCells:
+    """Each CSV cell is the ``str`` of its column's Python scalar."""
+
+    TABLES = {
+        "signed-zeros": {"x": np.array([0.0, -0.0, 0.0, -0.0]), "y": np.array([-0.0, -0.0, 0.0, 1.0])},
+        "non-finite": {"v": np.concatenate([[np.nan, np.inf, -np.inf, np.nan, 1.0, -np.inf], _NAN_PAYLOAD])},
+        "repeated": {
+            "v": np.random.default_rng(0).permutation(np.repeat([0.1, 1 / 3, 2.5e-310, 1e300, -7.0], 40)),
+            "w": np.repeat([0.3, 0.2, 0.3, 0.2], 50),
+            "s": np.tile([-1, 0, 1, 1, -1], 40),
+        },
+        "int64-extremes": {"n": np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max, 0, -1])},
+        "one-row": {"a": np.array([1.5]), "b": ["s"], "c": np.array([7])},
+        "string-lists": {
+            "kind": ["mass", "mass", "tail", "mass"], "k": [0, 3, 0, 3], "v": np.array([0.1, 0.2, 0.1, -0.0]),
+        },
+        "strided": {"x": np.array([[0.0, -0.0], [1.0, 2.0], [3.0, -0.0]])[:, 1], "t": np.arange(3)[::-1]},
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_each_cell_is_str_of_its_scalar(self, tmp_path, name):
+        table = self.TABLES[name]
+        out = tmp_path / "table.csv"
+        cli._write_artifact(argparse.Namespace(format="csv", output=str(out)), {"command": "test"}, table)
+        lines = out.read_text().split("\n")
+        assert lines[0].startswith("# ") and lines[1] == ",".join(table) and lines[-1] == ""
+        scalars = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+        assert [line.split(",") for line in lines[2:-1]] == [list(map(str, row)) for row in zip(*scalars)]
+
+    def test_signed_zeros_and_nans_keep_their_cells(self, tmp_path):
+        out = tmp_path / "table.csv"
+        cli._write_artifact(argparse.Namespace(format="csv", output=str(out)), {}, self.TABLES["signed-zeros"])
+        assert out.read_text().splitlines()[2:] == ["0.0,-0.0", "-0.0,-0.0", "0.0,0.0", "-0.0,1.0"]
+
+    @pytest.mark.parametrize("argv", [
+        ["track", "--length", "40", "--window", "50"],
+        ["mucurve", "--k", "3", "--n", "5", "--samples", "0"],
+    ])
+    def test_a_failing_command_writes_nothing(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == EXIT_DATA
+        assert not out.exists()
 
 
 class TestForecastAndBacktest:

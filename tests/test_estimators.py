@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +117,45 @@ class TestFrequencyEstimate:
             single = np.zeros((4, 4))
             np.add.at(single, (paths[i, j, :-1], paths[i, j, 1:]), 1.0)
             np.testing.assert_array_equal(counts[i, j], single)
+
+
+def summed_frequencies(counts):
+    """``transition_frequencies`` with departures from ``sum(axis=-1)``, the reference form."""
+    departures = counts.sum(axis=-1, keepdims=True)
+    return np.where(departures > 0, counts / np.maximum(departures, 1.0), 1.0 / counts.shape[-1])
+
+
+@st.composite
+def count_stacks(draw, k_values, cell):
+    k = draw(k_values)
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    cells = draw(st.lists(cell, min_size=math.prod(lead) * k * k, max_size=math.prod(lead) * k * k))
+    counts = np.array(cells, dtype=float).reshape(lead + (k, k))
+    empty = draw(st.lists(st.booleans(), min_size=math.prod(lead) * k, max_size=math.prod(lead) * k))
+    counts[np.array(empty, dtype=bool).reshape(lead + (k,))] = 0.0  # rows with no departures
+    return counts
+
+
+class TestTransitionFrequencies:
+    @settings(max_examples=300, deadline=None)
+    @given(count_stacks(st.integers(2, 9), st.integers(0, 2**40)))
+    def test_integer_counts_equal_summed_rows(self, counts):
+        assert estimators.transition_frequencies(counts).tolist() == summed_frequencies(counts).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(count_stacks(st.integers(2, 5), st.floats(0.0, 1e300, allow_subnormal=True)))
+    def test_short_float_rows_equal_summed_rows(self, counts):
+        assert estimators.transition_frequencies(counts).tolist() == summed_frequencies(counts).tolist()
+
+    def test_window_stack_equals_summed_rows(self, rng):
+        series = StateSequence(rng.integers(0, 3, size=5000), 3)
+        rows, _ = estimators._window_rows(series, TERNARY, "sampling", np.arange(49, 5000), 50)
+        idx = series.indices
+        counts = np.stack([
+            np.bincount(idx[t - 49 : t] * 3 + idx[t - 48 : t + 1], minlength=9).reshape(3, 3)
+            for t in range(49, 5000)
+        ]).astype(float)
+        assert rows.tolist() == summed_frequencies(counts).tolist()
 
 
 class TestMaxEntEstimate:

@@ -15,6 +15,7 @@ from maxent_markov import (
     generate_nonstationary,
     generate_time_varying,
     matrix_autocorrelation,
+    sliding_window,
     stationary_distribution,
     toy_matrix,
     toy_process,
@@ -238,6 +239,25 @@ class TestTrackingExperiment:
             trace = report.estimates[method]
             assert trace.std() < 0.25 * truth_spread
             assert np.abs(trace - 0.6).max() < 0.08
+
+    @pytest.mark.parametrize("seeds", [[4], [0, 7, 2], list(range(3, 28))])
+    def test_equals_per_seed_sliding_windows(self, seeds):
+        # the reference: each seed's own path through sliding_window, accumulated in seed order
+        period, length, window = 120, 700, 40
+        report = tracking_experiment(period, length, window, seeds)
+        process = nonstationary.toy_process(period)
+        sums = {m: np.zeros(length - window + 1) for m in ("maxent", "sampling")}
+        per_seed = {m: [] for m in sums}
+        for seed in seeds:
+            series = generate_time_varying(process, length, seed)
+            for method in sums:
+                trace = sliding_window(series, window, method, process.states).entries[:, 0, 0]
+                sums[method] += trace
+                per_seed[method].append(float(np.abs(trace - report.true_coefficient).mean()))
+        for method in sums:
+            assert report.estimates[method].tolist() == (sums[method] / len(seeds)).tolist()
+            assert report.per_seed_mae[method].tolist() == per_seed[method]
+            assert report.mae[method] == float(np.mean(per_seed[method]))
 
     def test_needs_length_beyond_window(self):
         with pytest.raises(ValueError):
