@@ -185,6 +185,7 @@ def _write_artifact(args, metadata: dict, table: dict) -> None:
         del grid  # while the body is built, only the cells, the format and the text are held
         line = ",".join(["%s"] * len(table)) + "\n"
         parts = ["# " + json.dumps(metadata) + "\n" + ",".join(table) + "\n", line * rows % cells]
+        del cells  # the cells' strings are not held while the text is encoded and written
     if args.output:
         with open(args.output, "w") as out:
             out.writelines(parts)

@@ -157,8 +157,8 @@ def resample(prices: PriceSeries, interval: float) -> PriceSeries:
     the data; boundaries before the first observation produce nothing,
     gaps carry the previous price forward.
     """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    if not 0.0 < interval < np.inf:  # also false for NaN
+        raise ValueError(f"interval must be a positive finite number, got {interval!r}")
     ts = prices.timestamps
     first = np.ceil(ts[0] / interval) * interval
     last = np.floor(ts[-1] / interval) * interval
@@ -183,8 +183,8 @@ def discretize(returns: ReturnSeries, threshold: float = DEFAULT_THRESHOLD) -> S
     Down for ``r < -threshold``, up for ``r > threshold``, flat otherwise;
     returns exactly at the threshold are flat (strict inequalities).
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0.0 < threshold < np.inf:  # also false for NaN
+        raise ValueError(f"threshold must be a positive finite number, got {threshold!r}")
     r = returns.values
     indices = np.ones(r.size, dtype=np.int64)  # flat
     indices[r < -threshold] = 0

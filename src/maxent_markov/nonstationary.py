@@ -26,11 +26,13 @@ from .chains import (
     _walk,
     stationary_distribution,
 )
-from .estimators import _window_rows
+from .estimators import maxent_entries, transition_frequencies
 from .solver import _maxent_batch, feasible_range
 
 TRACKING_METHODS = ("maxent", "sampling")
-_BLOCK_CELLS = 8192  # (seed, step) cells walked per block: bounds the rows and uniforms held at once
+# (seed, step) cells walked per block: bounds the rows and uniforms held at once.  Interleaved
+# medians of the 20 x 5,000 walk: 6.8 ms at 8,192 cells, 7.8 ms at 32,768, 8.3 ms at 65,536.
+_BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ class TrackingReport:
 
 
 def _toy_entries(times: np.ndarray, period: float) -> np.ndarray:
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not 0.0 < period < math.inf:  # also false for NaN
+        raise ValueError(f"period must be a positive finite number, got {period!r}")
     t = np.asarray(times, dtype=float)
     stay_down = 0.6 + 0.1 * np.sin(2.0 * np.pi * t / period)
     stay_up = 0.6 + 0.1 * np.sin(2.0 * np.pi * t / (1.2 * period))
@@ -191,26 +193,44 @@ def tracking_experiment(
 
     Every seed's realization comes from one stacked walk; estimates at
     time ``t`` use the trailing window ending at ``t`` (causal alignment),
-    as ``sliding_window`` gives them, and are compared with the
+    equal to those ``sliding_window`` gives, and are compared with the
     instantaneous true coefficient.  Mean absolute errors are reported per
     seed and pooled.
+
+    Only the reported coefficient is estimated.  A window of ``w`` states
+    +-1 with ``s`` stays has pair sum ``2 s - (w - 1)``, so the maxent
+    trace reads one closed-form solve per stay count, made once per run;
+    the sampling trace needs only the low state's row, from prefix counts
+    of its stays and departures.
     """
+    if window < 2:
+        raise ValueError("window must be >= 2 to observe transitions")
     if length <= window:
         raise ValueError("length must exceed the window")
     process = toy_process(period)
     times = np.arange(window - 1, length)
     truth = process.entries(times)[:, 0, 0]
     paths = _paths(process, length, seeds)
+    lattice = maxent_entries(process.states, 2 * np.arange(window) - (window - 1), window - 1)[:, 0, 0]
 
     sums = {m: np.zeros(times.size) for m in TRACKING_METHODS}
     seed_mae = {m: np.empty(len(paths)) for m in TRACKING_METHODS}
+    prefix = np.zeros((length, 3), dtype=np.int64)  # row t: stays, 0 -> 0 and 0 -> 1 arriving by t
+    counts = np.empty((times.size, 3), dtype=np.int64)  # row i: the same inside the window ending at times[i]
     for i, path in enumerate(paths):
-        series = StateSequence(path, process.states.size)
+        prior, after = path[:-1], path[1:]
+        stay = prior == after
+        np.cumsum(stay, out=prefix[1:, 0])
+        np.cumsum(stay & (prior == 0), out=prefix[1:, 1])
+        np.cumsum(after > prior, out=prefix[1:, 2])  # on indices 0 and 1, only 0 -> 1
+        np.subtract(prefix[window - 1 :], prefix[: times.size], out=counts)
+        traces = {
+            "maxent": lattice.take(counts[:, 0]),
+            "sampling": transition_frequencies(counts[:, None, 1:])[:, 0, 0],
+        }
         for method in TRACKING_METHODS:
-            rows, which = _window_rows(series, process.states, method, times, window)
-            trace = rows[:, 0, 0].take(which)  # the one coefficient, not a (T, K, K) gather
-            sums[method] += trace
-            seed_mae[method][i] = float(np.abs(trace - truth).mean())
+            sums[method] += traces[method]
+            seed_mae[method][i] = float(np.abs(traces[method] - truth).mean())
 
     estimates = {m: sums[m] / len(paths) for m in TRACKING_METHODS}
     mae = {m: float(seed_mae[m].mean()) for m in TRACKING_METHODS}

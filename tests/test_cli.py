@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -99,7 +100,20 @@ class TestDiscretize:
         out = tmp_path / "states.csv"
         assert main(["discretize", "--input", str(inp), "--interval", interval,
                      "--output", str(out)]) == EXIT_DATA
-        assert "interval must be positive" in capsys.readouterr().err
+        assert "interval must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--threshold", "--interval"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_options(self, tmp_path, capsys, flag, value):
+        inp = tmp_path / "prices.csv"
+        inp.write_text("timestamp,price\n0,100\n900,100.02\n1800,99.97\n")
+        out = tmp_path / "states.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["discretize", "--input", str(inp), f"{flag}={value}", "--output", str(out)])
+        assert code == EXIT_DATA
+        assert f"{flag[2:]} must be a positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_validation_error_writes_nothing(self, tmp_path):
@@ -253,6 +267,15 @@ class TestSimulateAndTrack:
         assert metadata["mae_maxent"] > 0
         assert metadata["mae_sampling"] > 0
         assert metadata["seeds"] == [0, 1]
+
+    @pytest.mark.parametrize("command", [["track", "--length", "100", "--window", "10"],
+                                         ["simulate", "--length", "100"]])
+    @pytest.mark.parametrize("period", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_period(self, tmp_path, capsys, command, period):
+        out = tmp_path / "out.csv"
+        assert main([*command, f"--period={period}", "--output", str(out)]) == EXIT_DATA
+        assert "period must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     # sha256 of the artifact body (every line after the metadata line) and the
     # metadata's MAEs; the two long tracks cross stacked-walk block boundaries

@@ -213,6 +213,14 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(series, 0)
 
+    @pytest.mark.parametrize("interval", [np.nan, np.inf, -np.inf])
+    def test_non_finite_interval(self, interval):
+        series = PriceSeries(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="interval must be a positive finite number"):
+                resample(series, interval)
+
 
 class TestToReturns:
     def test_basic_values(self):
@@ -265,6 +273,12 @@ class TestDiscretize:
         returns = ReturnSeries(np.arange(2.0), np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             discretize(returns, threshold=0.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold(self, threshold):
+        returns = ReturnSeries(np.arange(2.0), np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="threshold must be a positive finite number"):
+            discretize(returns, threshold=threshold)
 
 
 class TestStateCsvRoundTrip:

@@ -3,17 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxent_markov import nonstationary
 from maxent_markov.chains import _walk
+from maxent_markov.estimators import CLAMP_MARGIN
 from maxent_markov import (
     Distribution,
     StateSpace,
     autocorrelation_cycle,
     generate_nonstationary,
     generate_time_varying,
+    maxent_entries,
     matrix_autocorrelation,
     sliding_window,
     stationary_distribution,
@@ -24,6 +26,17 @@ from maxent_markov import (
 
 # a ternary cycle with a short integer period: every phase is solved once
 _SMALL_CYCLE = autocorrelation_cycle(StateSpace.ternary(), period=7, amplitude=0.4)
+
+
+def per_seed_reference(period, length, window, seeds):
+    """Each seed's own path through ``sliding_window``: stay-down traces per method, seed by seed."""
+    process = nonstationary.toy_process(period)
+    traces = {m: [] for m in ("maxent", "sampling")}
+    for seed in seeds:
+        series = generate_time_varying(process, length, seed)
+        for method in traces:
+            traces[method].append(sliding_window(series, window, method, process.states).entries[:, 0, 0])
+    return traces
 
 
 def block_straddling_lengths(block):
@@ -71,6 +84,16 @@ class TestToyMatrix:
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
             toy_matrix(0, 0)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_period(self, period):
+        match = "period must be a positive finite number"
+        with pytest.raises(ValueError, match=match):
+            toy_matrix(0, period)
+        with pytest.raises(ValueError, match=match):
+            generate_nonstationary(period, 10, seed=0)
+        with pytest.raises(ValueError, match=match):
+            tracking_experiment(period, 100, 10, seeds=[0])
 
 
 class TestGeneration:
@@ -258,6 +281,50 @@ class TestTrackingExperiment:
             assert report.estimates[method].tolist() == (sums[method] / len(seeds)).tolist()
             assert report.per_seed_mae[method].tolist() == per_seed[method]
             assert report.mae[method] == float(np.mean(per_seed[method]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        period=st.floats(1.0, 2000.0),
+        length=st.integers(3, 400),
+        window_choice=st.integers(0, 2**16),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    )
+    @example(period=37.5, length=300, window_choice=0, seeds=[9, 10, 11])  # fills and both lattice ends
+    def test_traces_equal_per_seed_sliding_windows(self, period, length, window_choice, seeds):
+        window = 2 + window_choice % (length - 2)  # 2 .. length - 1
+        report = tracking_experiment(period, length, window, seeds)
+        traces = per_seed_reference(period, length, window, seeds)
+        for method, per_seed in traces.items():
+            total = np.zeros(length - window + 1)
+            for trace in per_seed:  # accumulated in seed order
+                total += trace
+            maes = [float(np.abs(trace - report.true_coefficient).mean()) for trace in per_seed]
+            assert report.estimates[method].tolist() == (total / len(seeds)).tolist()
+            assert report.per_seed_mae[method].tolist() == maes
+            assert report.mae[method] == float(np.mean(maes))
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_fills_and_lattice_ends_reach_the_report(self, window):
+        # windows that never leave the low state carry no evidence for its row (1/2);
+        # constant and alternating windows sit at the two clamped ends of the lattice
+        period, length, seed = 37.5, 300, 9
+        report = tracking_experiment(period, length, window, [seed])
+        path = generate_time_varying(nonstationary.toy_process(period), length, seed).indices
+        windows = np.lib.stride_tricks.sliding_window_view(path, window)
+        unfilled = (windows[:, :-1] == 0).any(axis=1)
+        constant = (windows[:, 1:] == windows[:, :-1]).all(axis=1)
+        alternating = (windows[:, 1:] != windows[:, :-1]).all(axis=1)
+        assert (~unfilled).any() and constant.any() and alternating.any()
+        assert (report.estimates["sampling"][~unfilled] == 0.5).all()
+        ends = maxent_entries(StateSpace.binary(), [window - 1, 1 - window], window - 1)[:, 0, 0]
+        assert ends.tolist() == [(1.0 + (1.0 - CLAMP_MARGIN)) / 2.0, (1.0 + (CLAMP_MARGIN - 1.0)) / 2.0]
+        assert (report.estimates["maxent"][constant] == ends[0]).all()
+        assert (report.estimates["maxent"][alternating] == ends[1]).all()
+
+    def test_rejects_window_below_two(self):
+        for window in (1, 0):
+            with pytest.raises(ValueError, match="window must be >= 2"):
+                tracking_experiment(500, 100, window, seeds=[0])
 
     def test_needs_length_beyond_window(self):
         with pytest.raises(ValueError):
