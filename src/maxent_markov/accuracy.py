@@ -26,11 +26,9 @@ from .chains import (
     _lockstep_walk,
     _stationary_masses,
     _stochastic_rows,
-    matrix_autocorrelation,
     stationary_distribution,
 )
 from .estimators import maxent_entries, transition_counts, transition_frequencies
-from .solver import maxent_2state
 
 DEFAULT_CAP = 500
 DEFAULT_REPLICATES = 200
@@ -45,7 +43,7 @@ class FoldedNormalStats:
     std: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorStats:
     """Per-coefficient expected absolute error of an estimator at sample size ``n``.
 
@@ -63,7 +61,7 @@ class ErrorStats:
         return FoldedNormalStats(float(self.means[i, j]), float(self.stds[i, j]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalSampleSize:
     """Largest sample sizes at which the maximum-entropy estimator still wins.
 
@@ -76,7 +74,7 @@ class CriticalSampleSize:
     cap: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MuCurve:
     """Fraction of matrix space favorable to maximum entropy vs. sample size.
 
@@ -117,12 +115,46 @@ def folded_normal_stats(mu: float, variance: float) -> FoldedNormalStats:
     return FoldedNormalStats(mean, math.sqrt(max(spread, 0.0)))
 
 
-def _require_two_states(w: StochasticMatrix, what: str) -> None:
+def _two_state_errors(stay: np.ndarray, leave: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maxent bias and unit sampling error mean of each row of 2-state chains on the states (-1, +1).
+
+    ``stay``, ``leave`` and ``p`` hold ``W_ii``, ``W_ij`` (``j != i``) and
+    the stationary mass ``p_i``, stacked by row ``i`` on axis 0 over any
+    trailing shape.  The maximum-entropy chain of the autocorrelation
+    ``A = p_0 (2 W_00 - 1) + p_1 (2 W_11 - 1)`` stays with probability
+    ``(1 + A) / 2``, so ``W_ii`` has the signed bias ``(1 + A) / 2 - W_ii``
+    and ``W_ij`` its negative.  Both sampled coefficients of row ``i``
+    have the error mean ``sqrt(2 W_ii W_ij / (pi n p_i))``, returned at
+    ``n = 1``.
+    """
+    acf = p[0] * (2.0 * stay[0] - 1.0) + p[1] * (2.0 * stay[1] - 1.0)
+    return (1.0 + acf) / 2.0 - stay, np.sqrt(2.0 * stay * leave / (np.pi * p))
+
+
+def _critical_sizes(stay: np.ndarray, leave: np.ndarray, p: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the largest ``n`` in ``1..cap`` with nonnegative gain (0 if none), and their ``p``-weighted sum.
+
+    Rows are stacked as for ``_two_state_errors``.  Every integer is
+    scanned: the gain need not be monotone when the bias is near zero.
+    """
+    bias, unit = _two_state_errors(stay, leave, p)
+    bias_abs = np.abs(bias)
+    best = np.zeros_like(unit)
+    for n in range(1, cap + 1):
+        sigma = 1.0 / (2.0 * math.sqrt(n))
+        gain = unit / math.sqrt(n) - _folded_mean(bias_abs, np.float64(sigma))
+        best = np.where(gain >= 0, float(n), best)
+    return best, p[0] * best[0] + p[1] * best[1]
+
+
+def _chain_rows(w: StochasticMatrix, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(stay, leave, p)`` of one chain by row: its diagonal, its stored off-diagonal and its stationary masses."""
     if w.states != StateSpace.binary():
         raise ValueError(
             f"{what} is analytic for 2-state chains on the states (-1, +1) only; "
             "use the Monte-Carlo sweep for other state spaces"
         )
+    return np.diag(w.entries), w.entries[[0, 1], [1, 0]], stationary_distribution(w).mass
 
 
 def maxent_error_stats(w_true: StochasticMatrix, n: int) -> ErrorStats:
@@ -134,13 +166,10 @@ def maxent_error_stats(w_true: StochasticMatrix, n: int) -> ErrorStats:
     matrix of the true autocorrelation, so its bias is the structural
     mismatch between that matrix and ``w_true``.
     """
-    _require_two_states(w_true, "maxent_error_stats")
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = stationary_distribution(w_true)
-    a_true = matrix_autocorrelation(p, w_true)
-    compatible = maxent_2state(a_true).matrix.entries
-    bias = compatible - w_true.entries
+    row_bias = _two_state_errors(*_chain_rows(w_true, "maxent_error_stats"))[0]
+    bias = row_bias[:, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])  # W_ij's bias is minus W_ii's
     sigma = 1.0 / (2.0 * math.sqrt(n))
     means = _folded_mean(np.abs(bias), np.float64(sigma))
     stds = np.sqrt(np.maximum(bias**2 + sigma**2 - means**2, 0.0))
@@ -151,21 +180,17 @@ def sampling_error_stats(w_true: StochasticMatrix, n: int) -> ErrorStats:
     """Folded-normal error statistics of the frequency-sampling estimator.
 
     Each coefficient estimated from a window of size ``n`` is treated as
-    normal and unbiased with variance ``W_ij (1 - W_ij) / (n p_i)`` where
-    ``p`` is the stationary distribution, giving
+    normal and unbiased with variance ``W_ii W_ij / (n p_i)`` (``j != i``)
+    where ``p`` is the stationary distribution, giving
 
-        mean = sqrt(2 W_ij (1 - W_ij) / (pi n p_i))
-        std  = sqrt((1 - 2/pi) W_ij (1 - W_ij) / (n p_i))
+        mean = sqrt(2 W_ii W_ij / (pi n p_i))
+        std  = sqrt(pi/2 - 1) * mean
     """
-    _require_two_states(w_true, "sampling_error_stats")
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = stationary_distribution(w_true).mass
-    w = w_true.entries
-    variance = w * (1.0 - w) / (n * p[:, None])
-    means = np.sqrt(2.0 * variance / np.pi)
-    stds = np.sqrt((1.0 - 2.0 / np.pi) * variance)
-    return ErrorStats("sampling", n, means, stds, np.zeros_like(w))
+    unit = _two_state_errors(*_chain_rows(w_true, "sampling_error_stats"))[1]
+    means = np.repeat(unit, 2).reshape(2, 2) / math.sqrt(n)
+    return ErrorStats("sampling", n, means, math.sqrt(np.pi / 2.0 - 1.0) * means, np.zeros_like(means))
 
 
 def accuracy_gain(w_true: StochasticMatrix, n: int) -> np.ndarray:
@@ -177,42 +202,20 @@ def accuracy_gain(w_true: StochasticMatrix, n: int) -> np.ndarray:
     return sampling_error_stats(w_true, n).means - maxent_error_stats(w_true, n).means
 
 
-def _largest_favorable_size(samp_unit: np.ndarray, bias_abs: np.ndarray, cap: int) -> np.ndarray:
-    """Largest ``n`` in ``1..cap`` with nonnegative gain, elementwise (0 if none).
-
-    ``samp_unit`` is the sampling error mean times ``sqrt(n)`` and
-    ``bias_abs`` the maxent bias magnitude, which does not depend on ``n``.
-    """
-    best = np.zeros_like(samp_unit)
-    for n in range(1, cap + 1):
-        sigma = 1.0 / (2.0 * math.sqrt(n))
-        gain = samp_unit / math.sqrt(n) - _folded_mean(bias_abs, np.float64(sigma))
-        best = np.where(gain >= 0, float(n), best)
-    return best
-
-
 def critical_sample_size(w_true: StochasticMatrix, cap: int = DEFAULT_CAP) -> CriticalSampleSize:
     """Largest ``n <= cap`` with nonnegative gain, per coefficient.
 
-    Scanned over the integers ``1..cap`` (the gain need not be monotone
-    when the structural bias is near zero); coefficients never favorable
-    get zero.  The aggregate weighs coefficient ``(i, j)`` by the
-    stationary probability of its source state, normalized over the
-    ``K^2`` coefficients.
+    Both coefficients of a row share it; coefficients never favorable get
+    zero.  The aggregate weighs each row by the stationary probability of
+    its state.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    p = stationary_distribution(w_true).mass
-    me = maxent_error_stats(w_true, 1)  # validates inputs; bias is n-free
-    bias_abs = np.abs(me.bias)
-    w = w_true.entries
-    samp_unit = np.sqrt(2.0 * w * (1.0 - w) / (np.pi * p[:, None]))  # mean * sqrt(n)
-    best = _largest_favorable_size(samp_unit, bias_abs, cap)
-    weighted = float((p[:, None] * best).sum() / w_true.size)
-    return CriticalSampleSize(best, weighted, cap)
+    best, weighted = _critical_sizes(*_chain_rows(w_true, "critical_sample_size"), cap)
+    return CriticalSampleSize(np.repeat(best, 2).reshape(2, 2), float(weighted), cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalSizeMap:
     """Weighted critical sample size over the (stay_down, stay_up) square.
 
@@ -243,16 +246,8 @@ def critical_size_map(resolution: int = 100, cap: int = DEFAULT_CAP) -> Critical
     grid = (np.arange(resolution) + 0.5) / resolution
     a, d = np.meshgrid(grid, grid, indexing="ij")  # stay_down, stay_up
     p_down = (1.0 - d) / (2.0 - a - d)
-    p_up = 1.0 - p_down
-    acf = p_down * (2.0 * a - 1.0) + p_up * (2.0 * d - 1.0)
-    bias_down = np.abs((1.0 + acf) / 2.0 - a)
-    bias_up = np.abs((1.0 + acf) / 2.0 - d)
-    samp_down = np.sqrt(2.0 * a * (1.0 - a) / (np.pi * p_down))
-    samp_up = np.sqrt(2.0 * d * (1.0 - d) / (np.pi * p_up))
-    nc_down, nc_up = _largest_favorable_size(
-        np.stack([samp_down, samp_up]), np.stack([bias_down, bias_up]), cap
-    )
-    weighted = p_down * nc_down + p_up * nc_up  # row values repeat across the row
+    stay = np.stack([a, d])
+    (nc_down, nc_up), weighted = _critical_sizes(stay, 1.0 - stay, np.stack([p_down, 1.0 - p_down]), cap)
     return CriticalSizeMap(a, d, weighted, nc_down, nc_up, cap)
 
 

@@ -95,7 +95,7 @@ class StateSpace:
         return cls(tuple(float(2 * i - (n_states - 1)) for i in range(n_states)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability mass over the states of a chain (sums to one)."""
 
@@ -122,7 +122,7 @@ class Distribution:
         return cls(mass)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Row-stochastic transition matrix labelled with its state values.
 
@@ -149,7 +149,7 @@ class StochasticMatrix:
         return cls(np.full((k, k), 1.0 / k), states)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSequence:
     """A realized path of the chain, stored as indices into a state space."""
 

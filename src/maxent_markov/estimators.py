@@ -29,7 +29,7 @@ class SampleAutocorrelation:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowEstimate:
     """Per-time estimates from a trailing window slid along a series.
 

@@ -34,7 +34,7 @@ N_TAIL_BINS = 10
 _DUST = 1e-18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepDistribution:
     """Distribution of the sum of the next ``horizon`` state values.
 
@@ -57,7 +57,7 @@ class StepDistribution:
         return float(self.probabilities.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailCentiles:
     """Symmetrized tail masses ``pi_k``, k = 1..10.
 
@@ -78,7 +78,7 @@ class TailCentiles:
         object.__setattr__(self, "pi", pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BacktestReport:
     """Average tail errors per estimation method and window size."""
 

@@ -25,13 +25,14 @@ import numpy as np
 from .chains import StateSequence, StateSpace
 
 DEFAULT_THRESHOLD = 1e-4
+_MAX_RESAMPLE_STEPS = 10_000_000  # ~19 years of one-minute bars; its three grid arrays alone take 240 MB
 
 
 class PriceDataError(ValueError):
     """Malformed or inconsistent market data input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Strictly increasing, finite timestamps (epoch seconds) with finite positive prices."""
 
@@ -68,7 +69,7 @@ def _validate(ts: np.ndarray, px: np.ndarray, where) -> None:
         raise PriceDataError(f"{where(i)}: {reason}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
     """Simple returns, stamped with the time of the later price."""
 
@@ -155,11 +156,18 @@ def resample(prices: PriceSeries, interval: float) -> PriceSeries:
 
     One point per grid boundary (multiples of ``interval``) covered by
     the data; boundaries before the first observation produce nothing,
-    gaps carry the previous price forward.
+    gaps carry the previous price forward.  An interval that splits the
+    data's time span into more than ``_MAX_RESAMPLE_STEPS`` steps is refused
+    before the grid is allocated.
     """
     if not 0.0 < interval < np.inf:  # also false for NaN
         raise ValueError(f"interval must be a positive finite number, got {interval!r}")
     ts = prices.timestamps
+    steps = float(ts[-1] - ts[0]) / interval  # the grid has at most steps + 1 points; inf past a double
+    if steps > _MAX_RESAMPLE_STEPS:
+        raise PriceDataError(
+            f"interval {interval!r} splits the data into {steps:.4g} steps, more than {_MAX_RESAMPLE_STEPS:,}"
+        )
     first = np.ceil(ts[0] / interval) * interval
     last = np.floor(ts[-1] / interval) * interval
     if last < first:

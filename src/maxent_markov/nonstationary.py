@@ -54,7 +54,7 @@ class TimeVaryingMatrix:
         return StochasticMatrix(self.entries([t])[0], self.states)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackingReport:
     """Window estimates of the low-state stay probability against the truth.
 

@@ -60,7 +60,7 @@ class FeasibleRange:
         return self.lower + margin < value < self.upper - margin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxEntSolution:
     """A solved maximum-entropy chain.
 

@@ -255,11 +255,107 @@ class TestCriticalSizeMap:
         assert m.stay_down.min() > 0 and m.stay_down.max() < 1
 
     def test_matches_single_matrix_scan(self):
-        m = critical_size_map(resolution=10, cap=60)
-        for i, j in [(2, 7), (5, 5), (8, 1)]:
-            w = mat2(float(m.stay_down[i, j]), float(m.stay_up[i, j]))
-            single = critical_sample_size(w, cap=60)
-            assert m.weighted[i, j] == pytest.approx(single.weighted, abs=1e-9)
+        # every cell: the map takes p from its closed form, one chain from GTH
+        m = critical_size_map(resolution=20, cap=60)
+        for i, j in np.ndindex(m.weighted.shape):
+            single = critical_sample_size(mat2(float(m.stay_down[i, j]), float(m.stay_up[i, j])), cap=60)
+            np.testing.assert_array_equal(single.per_coefficient, [[m.nc_down_row[i, j]] * 2, [m.nc_up_row[i, j]] * 2])
+            assert single.weighted == pytest.approx(m.weighted[i, j], rel=1e-13, abs=0)
+
+
+class TestPerMatrixStats:
+    """Each row's errors at n = 37 and cap = 60, as the coefficient-by-coefficient formulas gave them.
+
+    A row is (maxent mean, maxent std, diagonal bias, sampling mean,
+    sampling std, critical size); both coefficients of a row share it, the
+    off-diagonal with the opposite bias.
+    """
+
+    PINNED = {
+        (0.72, 0.55): (
+            (0.08520329572202094, 0.06122834070457022, -0.06520547945205468,
+             0.07501353577946895, 0.05667352440762131, 17),
+            (0.11268800833515465, 0.07099338751663138, 0.10479452054794525,
+             0.1053681161491544, 0.07960673284245572, 30),
+            21.986301369863014,
+        ),
+        (0.9, 0.2): (
+            (0.0929363993468432, 0.06456752395167585, -0.07777777777777783,
+             0.04173848828256708, 0.03153387198509718, 0),
+            (0.6222222222222226, 0.08219949365267586, 0.6222222222222222,
+             0.15740569653908504, 0.11892167849456382, 2),
+            0.22222222222222218,
+        ),
+        (1 - 1e-9, 0.3): (
+            (0.06558570689128543, 0.04955069937273492, -9.999999717180685e-10,
+             4.148004256805335e-06, 3.1338613497980944e-06, 0),
+            (0.699999998, 0.08219949365267856, 0.699999998, 1590.368895829702, 1201.5406219472627, 60),
+            8.57142831676712e-08,
+        ),
+        (0.4, 1e-9): (
+            (0.15220417160215516, 0.07804259618492623, -0.14999999971875,
+             0.08128395218778135, 0.06141089071984498, 5),
+            (0.2500542403656617, 0.0820343420314544, 0.24999999928125002,
+             6.773662675541452e-06, 5.1175742215361756e-06, 0),
+            3.124999998828125,
+        ),
+        (0.999, 0.001): (
+            (0.06559054078025993, 0.049554351180394, -0.0009980000000000544,
+             0.004148004314573266, 0.003133861393442381, 0),
+            (0.9970019999999999, 0.0821994936526789, 0.9970019999999999,
+             0.13110581167104945, 0.09905183565222452, 0),
+            0.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("stays", list(PINNED), ids=repr)
+    def test_rows_match_the_pinned_values(self, stays):
+        w = mat2(*stays)
+        me, samp, nc = maxent_error_stats(w, 37), sampling_error_stats(w, 37), critical_sample_size(w, cap=60)
+        *rows, weighted = self.PINNED[stays]
+        signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        close = dict(rtol=1e-13, atol=1e-15)  # atol: the bias is a difference near 1/2, exact to ~1e-16
+        for got, want in [(me.means, 0), (me.stds, 1), (me.bias / signs, 2)]:
+            np.testing.assert_allclose(got, [[r[want]] * 2 for r in rows], **close)
+        # on the 1e-9 stay the coefficient-by-coefficient formula took its row's W_ij as 1 - W_ii
+        sampling = dict(rtol=2e-8) if stays == (0.4, 1e-9) else close
+        for got, want in [(samp.means, 3), (samp.stds, 4)]:
+            np.testing.assert_allclose(got, [[r[want]] * 2 for r in rows], **sampling)
+        np.testing.assert_array_equal(nc.per_coefficient, [[r[5]] * 2 for r in rows])
+        assert nc.weighted == pytest.approx(weighted, rel=1e-13, abs=0)
+
+
+class TestEdgeChains:
+    ANALYTIC = [
+        lambda w: maxent_error_stats(w, 10),
+        lambda w: sampling_error_stats(w, 10),
+        lambda w: accuracy_gain(w, 10),
+        lambda w: critical_sample_size(w, cap=20),
+    ]
+    IDS = ["maxent_error_stats", "sampling_error_stats", "accuracy_gain", "critical_sample_size"]
+
+    @pytest.mark.parametrize("stays", [(1.0, 1.0), (1.0, 0.5)], ids=repr)
+    @pytest.mark.parametrize("analytic", ANALYTIC, ids=IDS)
+    def test_reducible_chains_raise(self, stays, analytic):
+        from maxent_markov import ReducibleChainError
+
+        with pytest.raises(ReducibleChainError):
+            analytic(mat2(*stays))
+
+    def test_alternating_chain_is_its_own_maxent_chain(self):
+        # A = -1, whose maxent chain alternates too: no bias, and counting makes no error
+        w = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), BINARY)
+        me, samp = maxent_error_stats(w, 10), sampling_error_stats(w, 10)
+        sigma = 1 / (2 * math.sqrt(10))
+        np.testing.assert_array_equal(me.bias, 0.0)
+        np.testing.assert_allclose(me.means, 1 / math.sqrt(20 * math.pi), rtol=1e-15)
+        np.testing.assert_allclose(me.stds, sigma * math.sqrt(1 - 2 / math.pi), rtol=1e-15)
+        np.testing.assert_array_equal(samp.means, 0.0)
+        np.testing.assert_array_equal(samp.stds, 0.0)
+        np.testing.assert_allclose(accuracy_gain(w, 10), -1 / math.sqrt(20 * math.pi), rtol=1e-15)
+        nc = critical_sample_size(w, cap=20)
+        np.testing.assert_array_equal(nc.per_coefficient, 0.0)
+        assert nc.weighted == 0.0
 
 
 class TestMuCurve:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxent_markov as mm
 from maxent_markov import (
     Distribution,
     ReducibleChainError,
@@ -591,3 +593,53 @@ class TestSamplerCore:
         u = np.column_stack([rng.random(5), rng.random((5, 29))])
         for path, uniforms in zip(paths, u):
             np.testing.assert_array_equal(path, oracle_walk(w.entries, start, uniforms))
+
+
+
+def _records():
+    """Every record type of the package by name, each with a function that builds a fresh one."""
+    binary, seq = StateSpace.binary(), StateSequence(np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1]), 2)
+    w = mat2(0.6, 0.4, 0.3, 0.7)
+    q = lambda: mm.step_distribution(w, 0, 2)
+    prices = lambda: mm.PriceSeries(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.5, 1.2]))
+    return {
+        "StateSpace": StateSpace.binary,
+        "Distribution": lambda: Distribution.uniform(2),
+        "StochasticMatrix": lambda: StochasticMatrix.uniform(binary),
+        "StateSequence": lambda: StateSequence(np.array([0, 1, 0]), 2),
+        "SampleAutocorrelation": lambda: mm.sample_autocorrelation(seq, binary),
+        "WindowEstimate": lambda: mm.sliding_window(seq, 4, "sampling", binary),
+        "FoldedNormalStats": lambda: mm.folded_normal_stats(0.1, 0.2),
+        "ErrorStats": lambda: mm.maxent_error_stats(w, 10),
+        "CriticalSampleSize": lambda: mm.critical_sample_size(w, cap=5),
+        "MuCurve": lambda: mm.mu_curve(2, [2], grid=2, cap=2)[0],
+        "CriticalSizeMap": lambda: mm.critical_size_map(2, 2),
+        "FeasibleRange": lambda: mm.feasible_range(binary),
+        "MaxEntSolution": lambda: mm.maxent_2state(0.2),
+        "LagrangeResiduals": lambda: mm.lagrange_residuals(mm.maxent_2state(0.2), binary),
+        "PriceSeries": prices,
+        "ReturnSeries": lambda: mm.to_returns(prices()),
+        "TimeVaryingMatrix": lambda: TimeVaryingMatrix(np.ones, binary),
+        "TrackingReport": lambda: mm.tracking_experiment(20.0, 30, 5, [0]),
+        "StepDistribution": q,
+        "TailCentiles": lambda: mm.symmetrized_centiles(q()),
+        "BacktestReport": lambda: mm.backtest(seq, binary, [3], horizon=2, methods=("naive",)),
+    }
+
+
+# records without arrays compare by value; the ones holding arrays by identity
+VALUE_RECORDS = {"StateSpace", "SampleAutocorrelation", "FoldedNormalStats", "FeasibleRange",
+                 "LagrangeResiduals", "TimeVaryingMatrix"}
+
+
+def test_every_record_compares_to_a_bool_and_hashes():
+    records = _records()
+    modules = [mm.chains, mm.estimators, mm.accuracy, mm.solver, mm.ingest, mm.nonstationary, mm.forecast]
+    defined = {name for m in modules for name, obj in vars(m).items()
+               if dataclasses.is_dataclass(obj) and obj.__module__ == m.__name__}
+    assert defined == set(records)
+    for name, make in records.items():
+        a, b = make(), make()
+        assert type(a).__name__ == name
+        assert (a == b) is (name in VALUE_RECORDS) and (a != b) is (name not in VALUE_RECORDS), name
+        assert (a == a) is True and isinstance(hash(a), int), name

@@ -116,6 +116,16 @@ class TestDiscretize:
         assert f"{flag[2:]} must be a positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rejects_an_interval_too_fine_for_the_data(self, tmp_path, capsys):
+        # 300 one-minute rows at 1e-9 s would be ~1.8e13 grid points: refused before any allocation
+        inp = tmp_path / "prices.csv"
+        inp.write_text("timestamp,price\n" + "".join(f"{60 * t},{100 + t % 7}\n" for t in range(300)))
+        out = tmp_path / "states.csv"
+        assert main(["discretize", "--input", str(inp), "--interval", "1e-9", "--output", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "interval 1e-09" in err and "1.794e+13 steps" in err
+        assert not out.exists()
+
     def test_validation_error_writes_nothing(self, tmp_path):
         inp = tmp_path / "prices.csv"
         inp.write_text("timestamp,price\n100,1.0\n50,2.0\n")
@@ -310,6 +320,8 @@ class TestSimulateAndTrack:
         (["mucurve", "--k", "3", "--n", "5,10,20", "--samples", "12", "--replicates", "30",
           "--seed", "4", "--stratify"],
          "58bd7aef4671b8fcf8c7154135304f309318db00423b6c34c2b10cee1e851c84", None),
+        (["mucurve", "--k", "2", "--n", "10,25,50", "--grid", "20", "--cap", "60"],
+         "bc31a5a575f9cd5fdda3a90199e9be8ef1e56514466b76624ae91c935b3b4891", None),
         (["estimate", "--input", "{input}", "--method", "maxent"],
          "f59a8bf764e005d98f3365ed5fcb0a418b5ec2eefdea710d4a0e9f2e849b868a", None),
         (["estimate", "--input", "{input}", "--method", "sampling"],
@@ -343,7 +355,7 @@ class TestSimulateAndTrack:
         "argv, body_sha256, maes", PINNED,
         ids=["track-400x3", "track-3000x3", "track-1000x25", "simulate-300", "simulate-20000",
              "backtest-1500", "forecast-maxent", "forecast-naive", "discretize-300", "ncmap-20",
-             "mucurve-3state", "estimate-maxent", "estimate-sampling", "estimate-naive", "track-json"],
+             "mucurve-3state", "mucurve-2state", "estimate-maxent", "estimate-sampling", "estimate-naive", "track-json"],
     )
     def test_artifacts_are_byte_identical_to_pinned(self, tmp_path, argv, body_sha256, maes):
         out = tmp_path / "out.csv"

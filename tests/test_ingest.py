@@ -213,6 +213,23 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(series, 0)
 
+    def test_grid_is_capped_at_its_step_count(self, monkeypatch):
+        # ten steps of one second: allowed at a cap of 10, refused at 9, before the grid is made
+        series = PriceSeries(np.array([0.0, 4.0, 10.0]), np.array([1.0, 2.0, 3.0]))
+        monkeypatch.setattr(ingest, "_MAX_RESAMPLE_STEPS", 10)
+        assert len(resample(series, 1.0)) == 11
+        monkeypatch.setattr(ingest, "_MAX_RESAMPLE_STEPS", 9)
+        with pytest.raises(PriceDataError, match=r"interval 1\.0 splits the data into 10 steps, more than 9"):
+            resample(series, 1.0)
+
+    @pytest.mark.parametrize("interval", [1e-3, 5e-324])
+    def test_interval_too_fine_for_the_span(self, interval):
+        series = PriceSeries(np.array([0.0, 1e5]), np.array([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PriceDataError, match="more than 10,000,000"):
+                resample(series, interval)
+
     @pytest.mark.parametrize("interval", [np.nan, np.inf, -np.inf])
     def test_non_finite_interval(self, interval):
         series = PriceSeries(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
