@@ -275,14 +275,15 @@ def _weighted_gains(entries: np.ndarray, p: np.ndarray, counts: np.ndarray, latt
     return (np.repeat(p, k, axis=1) * (err[0] - err[1])).sum(axis=1) / k
 
 
-def _judge_block(seeds, sizes: np.ndarray, replicates: int, lattices: list) -> np.ndarray:
+def _judge_block(seeds, sizes: np.ndarray, replicates: int, lattice: np.ndarray) -> np.ndarray:
     """Empirical critical sizes and entropy rates of the random 3-state matrices drawn from ``seeds``, shape ``(2, M)``.
 
     Each matrix's generator draws its Dirichlet rows, then, size by size,
     the start and step uniforms of its ``replicates`` paths into one
     ``(step, path)`` buffer whose paths run largest size first.  One
     lock-step walk takes every path; they are counted size by size and
-    scored together.
+    scored together.  ``lattice`` holds, size by size, the maxent matrices
+    of the pair sums ``-(n - 1) .. n - 1``.
     """
     m, r, s = len(seeds), replicates, sizes.size
     u = np.empty((sizes[-1], s, m, r))  # the layout the walk reads, so it copies nothing
@@ -301,9 +302,9 @@ def _judge_block(seeds, sizes: np.ndarray, replicates: int, lattices: list) -> n
     counts, paths = np.empty((3, 3, s, m, r)), walked.reshape(s, m, r, -1)  # counts coefficient first, as scored
     for g, n in enumerate(sizes[::-1]):
         counts[:, :, g] = np.moveaxis(transition_counts(paths[g, ..., :n], 3), (-2, -1), (0, 1))
-    zero = np.repeat((np.cumsum(2 * sizes - 1) - sizes)[::-1], m)  # each size's pair-sum 0 in the stacked lattices
+    zero = np.repeat((np.cumsum(2 * sizes - 1) - sizes)[::-1], m)  # each size's pair-sum 0 in the flat lattice
     stacked = np.tile(entries, (s, 1, 1)), np.tile(p, (s, 1)), np.moveaxis(counts, (0, 1), (3, 4)).reshape(-1, r, 3, 3)
-    gains = _weighted_gains(*stacked, np.concatenate(lattices), zero).reshape(s, m)
+    gains = _weighted_gains(*stacked, lattice, zero).reshape(s, m)
     best = (sizes[::-1, None] * (gains >= 0)).max(axis=0)
     return np.stack([best, _entropy_rates(p, entries)])
 
@@ -359,11 +360,9 @@ def mu_curve(
         # sample autocorrelations of length-n paths are S / (n - 1) for the
         # integer pair-sums S in [-(n - 1), n - 1]: one exact solve per distinct
         # lattice point, shared by every size whose lattice holds it
-        points = 2 * sizes - 1
         pair_sums = np.concatenate([np.arange(-(n - 1), n) for n in sizes])
-        flat = maxent_entries(StateSpace.ternary(), pair_sums, np.repeat(sizes - 1, points))
-        lattices = np.split(flat, np.cumsum(points)[:-1])
-        judge = functools.partial(_judge_block, sizes=sizes, replicates=replicates, lattices=lattices)
+        lattice = maxent_entries(StateSpace.ternary(), pair_sums, np.repeat(sizes - 1, 2 * sizes - 1))
+        judge = functools.partial(_judge_block, sizes=sizes, replicates=replicates, lattice=lattice)
         seeds = np.random.SeedSequence(seed).spawn(samples)
         step = max(_BLOCK_CELLS // (replicates * int(sizes.sum())), 1)
         blocks = [seeds[i : i + step] for i in range(0, samples, step)]

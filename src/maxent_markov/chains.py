@@ -11,7 +11,7 @@ threads; ``simulate`` is a pure function of its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # numpy loads its random module lazily on first attribute access; import it
@@ -132,7 +132,7 @@ class StochasticMatrix:
 
     entries: np.ndarray
     states: StateSpace
-    filled_rows: tuple[int, ...] = field(default=(), compare=False)
+    filled_rows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         k = self.states.size

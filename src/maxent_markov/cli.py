@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .accuracy import critical_size_map, mu_curve
-from .chains import ReducibleChainError, StateSpace, StochasticMatrix
-from .estimators import METHODS, _window_entries, frequency_estimate, maxent_estimate, sample_autocorrelation
+from .chains import ReducibleChainError, StateSequence, StateSpace, StochasticMatrix
+from .estimators import METHODS, frequency_estimate, maxent_estimate, sample_autocorrelation
 from .forecast import backtest, step_distribution, symmetrized_centiles
 from .ingest import PriceDataError, discretize, load_prices, load_states, resample, to_returns
 from .nonstationary import generate_nonstationary, tracking_experiment
@@ -220,26 +220,27 @@ def _config(args, **extra) -> dict:
     return {"command": args.command, **resolved}
 
 
+def _estimate(series: StateSequence, states: StateSpace, method: str) -> tuple[np.ndarray, dict]:
+    """The ``method`` estimate ``(K, K)`` from all of ``series``, and its metadata."""
+    if method == "maxent":
+        solution = maxent_estimate(series, states)
+        return solution.matrix.entries, {
+            "multiplier": solution.multiplier,
+            "residual": solution.residual,
+            "target_autocorrelation": solution.target_autocorrelation,
+            "sample_autocorrelation": sample_autocorrelation(series, states).value,
+        }
+    if method == "sampling":
+        matrix = frequency_estimate(series, states)
+        return matrix.entries, {"filled_rows": list(matrix.filled_rows)}
+    return np.full((states.size, states.size), 1.0 / states.size), {}
+
+
 def _cmd_estimate(args) -> tuple[dict, dict]:
     series, states = load_states(args.input, n_states=args.k)
-    extra = {"k": states.size, "states": list(states.values)}
-    if args.method == "maxent":
-        solution = maxent_estimate(series, states)
-        entries = solution.matrix.entries
-        extra.update(
-            multiplier=solution.multiplier,
-            residual=solution.residual,
-            target_autocorrelation=solution.target_autocorrelation,
-            sample_autocorrelation=sample_autocorrelation(series, states).value,
-        )
-    elif args.method == "sampling":
-        matrix = frequency_estimate(series, states)
-        entries = matrix.entries
-        extra.update(filled_rows=list(matrix.filled_rows))
-    else:
-        entries = np.full((states.size, states.size), 1.0 / states.size)
+    entries, metadata = _estimate(series, states, args.method)
     values = states.as_array()
-    return extra, {
+    return {"k": states.size, "states": list(states.values), **metadata}, {
         "from_state": np.repeat(values, states.size),
         "to_state": np.tile(values, states.size),
         "probability": entries.ravel(),
@@ -291,7 +292,9 @@ def _cmd_forecast(args) -> tuple[dict, dict]:
     series, states = load_states(args.input, n_states=args.k)
     if len(series) < args.window:
         raise PriceDataError("series shorter than the requested window")
-    entries = _window_entries(series, states, args.method, [len(series) - 1], args.window)[0]
+    if args.window < 2:
+        raise ValueError("window must be >= 2 to observe transitions")
+    entries = _estimate(StateSequence(series.indices[-args.window :], series.n_states), states, args.method)[0]
     origin = int(series.indices[-1])
     q = step_distribution(StochasticMatrix(entries, states), origin, args.horizon)
     pi = symmetrized_centiles(q).pi

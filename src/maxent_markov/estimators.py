@@ -178,12 +178,6 @@ def _window_rows(
     return _maxent_rows(states, cz[ends] - cz[starts], np.asarray(windows) - 1)
 
 
-def _window_entries(series: StateSequence, states: StateSpace, method: str, ends, windows) -> np.ndarray:
-    """The estimates of ``_window_rows``, one per window, shape (len(ends), K, K)."""
-    rows, which = _window_rows(series, states, method, ends, windows)
-    return rows.take(which, axis=0)
-
-
 def sliding_window(
     series: StateSequence, window: int, method: str, states: StateSpace
 ) -> WindowEstimate:
@@ -195,4 +189,5 @@ def sliding_window(
     if len(series) < window:
         raise ValueError(f"series of length {len(series)} is shorter than the window {window}")
     times = np.arange(window - 1, len(series))
-    return WindowEstimate(times, _window_entries(series, states, method, times, window), method, states)
+    rows, which = _window_rows(series, states, method, times, window)
+    return WindowEstimate(times, rows.take(which, axis=0), method, states)

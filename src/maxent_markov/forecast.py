@@ -32,6 +32,7 @@ from .estimators import METHODS, _window_rows
 
 N_TAIL_BINS = 10
 _DUST = 1e-18
+_MAX_HORIZON = 10_000  # the DP takes time quadratic in the horizon: a forecast 10x past the cap runs for minutes
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +122,10 @@ def step_distribution(w: StochasticMatrix, origin: int, horizon: int) -> StepDis
     """Exact ``horizon``-step sum distribution from ``origin``.
 
     Equals the explicit sum over all ``K**horizon`` transition paths.
+    ``horizon`` is 1 to 10,000 steps.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if not 1 <= horizon <= _MAX_HORIZON:
+        raise ValueError(f"horizon must be between 1 and {_MAX_HORIZON}, got {horizon}")
     if not 0 <= origin < w.size:
         raise ValueError(f"origin state {origin} out of range")
     support, masses = _step_masses(w.states, w.entries[None], np.array([origin]), horizon)

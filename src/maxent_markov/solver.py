@@ -56,8 +56,9 @@ class FeasibleRange:
         """Pull ``value`` to the interior of the range by ``margin``."""
         return float(min(max(value, self.lower + margin), self.upper - margin))
 
-    def contains(self, value: float, margin: float = BOUNDARY_MARGIN) -> bool:
-        return self.lower + margin < value < self.upper - margin
+    def contains(self, value, margin: float = BOUNDARY_MARGIN):
+        """Whether ``value`` (a number or an array) lies ``margin`` inside the range; NaN does not."""
+        return (self.lower + margin < value) & (value < self.upper - margin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,23 +214,18 @@ def _binary_entries(targets) -> np.ndarray:
     return np.stack([stay, 1.0 - stay, 1.0 - stay, stay], axis=-1).reshape(*stay.shape, 2, 2)
 
 
+def _binary_solve(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_solve_multipliers`` for two +-1 states, in closed form: ``lam = atanh(A)`` and uniform mass."""
+    return np.arctanh(targets), _binary_entries(targets), np.full((targets.size, 2), 0.5)
+
+
 def maxent_2state(target: float) -> MaxEntSolution:
     """Closed-form maximum-entropy chain for two +-1 states.
 
-    Requires ``-1 < target < 1``; the stationary distribution is uniform
-    and the stay probability of each state is ``(1 + target) / 2``.
+    The stationary distribution is uniform and the stay probability of each
+    state is ``(1 + target) / 2``.  Raises as ``maxent_nstate`` does.
     """
-    if not -1.0 < target < 1.0:
-        raise InfeasibleTargetError(
-            f"autocorrelation {target} is outside the open interval (-1, 1)"
-        )
-    states = StateSpace.binary()
-    matrix = StochasticMatrix(_binary_entries(target), states)
-    stationary = Distribution(np.array([0.5, 0.5]))
-    multiplier = float(np.arctanh(target))
-    residual = _residual_rows(matrix.entries[None], stationary.mass[None], states.as_array(),
-                              np.array([multiplier]), np.array([float(target)])).max()
-    return MaxEntSolution(matrix, stationary, multiplier, float(residual), float(target))
+    return _one_solution(StateSpace.binary(), target, _binary_solve)
 
 
 def maxent_nstate(states: StateSpace, target: float) -> MaxEntSolution:
@@ -242,39 +238,41 @@ def maxent_nstate(states: StateSpace, target: float) -> MaxEntSolution:
             boundary of) the feasible autocorrelation range.
         ConvergenceError: root search or residual tolerance not met.
     """
-    entries, mass, multipliers, residuals = _maxent_batch(states, [target])
-    return MaxEntSolution(
-        StochasticMatrix(entries[0], states),
-        Distribution(mass[0]),
-        float(multipliers[0]),
-        float(residuals[0]),
-        float(target),
-    )
+    return _one_solution(states, target, _solve_multipliers)
 
 
-def _maxent_batch(states: StateSpace, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Checked maximum-entropy solutions for a stack of targets.
+def _one_solution(states: StateSpace, target: float, solve) -> MaxEntSolution:
+    """The one-target call of ``_maxent_batch`` by ``solve``, as a ``MaxEntSolution``."""
+    entries, mass, multipliers, residuals = _maxent_batch(states, [target], solve)
+    return MaxEntSolution(StochasticMatrix(entries[0], states), Distribution(mass[0]),
+                          float(multipliers[0]), float(residuals[0]), float(target))
+
+
+def _maxent_batch(states: StateSpace, targets, solve=_solve_multipliers) -> tuple[np.ndarray, ...]:
+    """Checked maximum-entropy solutions for a stack of targets, by ``solve`` (default the numeric one).
 
     Returns entries ``(T, K, K)``, stationary mass ``(T, K)``, multipliers
     and largest Lagrange residuals ``(T,)``.  Raises as ``maxent_nstate``
-    does, for the first target that fails.
+    does, for the first target that fails; NaN fails every check.
     """
     x = states.as_array()
     targets = np.asarray(targets, dtype=float).reshape(-1)
     bounds = feasible_range(states)
-    for target in targets:
-        if not bounds.contains(target):
-            raise InfeasibleTargetError(
-                f"autocorrelation {target} is not strictly inside ({bounds.lower}, {bounds.upper})"
-            )
-    multipliers, entries, mass = _solve_multipliers(x, targets)
+    outside = ~bounds.contains(targets)
+    if outside.any():
+        raise InfeasibleTargetError(
+            f"autocorrelation {targets[outside.argmax()]} is not strictly inside ({bounds.lower}, {bounds.upper})"
+        )
+    multipliers, entries, mass = solve(x, targets)
     conditions = _residual_rows(entries, mass, x, multipliers, targets)
-    residuals = conditions.max(axis=1)
-    for target, miss, residual in zip(targets, conditions[:, -1], residuals):
-        if not miss <= max(TARGET_TOL, 1e-9 * abs(target)):
-            raise ConvergenceError(f"root search missed the target autocorrelation {target}", miss)
-        if not residual <= RESIDUAL_TOL:
-            raise ConvergenceError(f"solution at autocorrelation {target} rejected", residual)
+    miss, residuals = conditions[:, -1], conditions.max(axis=1)
+    missed = ~(miss <= np.maximum(TARGET_TOL, 1e-9 * np.abs(targets)))
+    failed = missed | ~(residuals <= RESIDUAL_TOL)
+    if failed.any():
+        i = failed.argmax()
+        if missed[i]:
+            raise ConvergenceError(f"root search missed the target autocorrelation {targets[i]}", miss[i])
+        raise ConvergenceError(f"solution at autocorrelation {targets[i]} rejected", residuals[i])
     return entries, mass, multipliers, residuals
 
 

@@ -493,19 +493,20 @@ class TestMuCurve:
         seen = []
         judge = accuracy._judge_block
 
-        def spy(seeds, sizes, replicates, lattices):
-            seen.append(lattices)
-            return judge(seeds, sizes, replicates, lattices)
+        def spy(seeds, sizes, replicates, lattice):
+            seen.append(lattice)
+            return judge(seeds, sizes, replicates, lattice)
 
         monkeypatch.setattr(accuracy, "_judge_block", spy)
         monkeypatch.setattr(accuracy, "_BLOCK_CELLS", 2 * 5 * (5 + 12))  # two matrices per block
         sizes = [5, 12]
         mu_curve(3, sizes, samples=5, replicates=5, seed=1)
-        # one task per block, all sharing the lattices solved once
+        # one task per block, all sharing the lattice solved once
         assert len(seen) == 3
-        assert all(lattices is seen[0] for lattices in seen)
+        assert all(lattice is seen[0] for lattice in seen)
+        assert seen[0].shape == (9 + 23, 3, 3)
         bounds = feasible_range(TERNARY)
-        for n, lattice in zip(sizes, seen[0]):
+        for n, lattice in zip(sizes, np.split(seen[0], [9])):
             assert lattice.shape == (2 * n - 1, 3, 3)
             for s in range(-(n - 1), n):
                 exact = maxent_nstate(TERNARY, bounds.clamp(s / (n - 1), 1e-6)).matrix.entries

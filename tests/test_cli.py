@@ -313,6 +313,10 @@ class TestSimulateAndTrack:
          "c1cbef48759428fe64372fdeae5a972f42e51ce3806b36ab3786948da8820f1d", None),
         (["forecast", "--input", "{input}", "--method", "naive", "--window", "60", "--horizon", "8"],
          "e9ca3d452bb0315c2f1e30874c0909f8f570dcc4b136956322088ca6310e9f03", None),
+        (["forecast", "--input", "{input}", "--method", "sampling", "--window", "60", "--horizon", "8"],
+         "2cb63de9758cab9fe13bac7f8acd9aba72480019e5e7fed6346fce733fc50ce0", None),
+        (["forecast", "--input", "{input}", "--method", "maxent", "--window", "2", "--horizon", "8"],
+         "ed9c6c62bd5766734a3a4f9ecf92a345b94f0d610ed0b5e8adb0bafa0c4c23b9", None),
         (["discretize", "--input", "{prices}"],
          "25a590753e17a2332c51173336d093f315e77aa1f03435c6a055a37c37078f69", None),
         (["ncmap", "--grid", "20", "--cap", "60"],
@@ -354,7 +358,8 @@ class TestSimulateAndTrack:
     @pytest.mark.parametrize(
         "argv, body_sha256, maes", PINNED,
         ids=["track-400x3", "track-3000x3", "track-1000x25", "simulate-300", "simulate-20000",
-             "backtest-1500", "forecast-maxent", "forecast-naive", "discretize-300", "ncmap-20",
+             "backtest-1500", "forecast-maxent", "forecast-naive", "forecast-sampling",
+             "forecast-maxent-w2", "discretize-300", "ncmap-20",
              "mucurve-3state", "mucurve-2state", "estimate-maxent", "estimate-sampling", "estimate-naive", "track-json"],
     )
     def test_artifacts_are_byte_identical_to_pinned(self, tmp_path, argv, body_sha256, maes):
@@ -435,11 +440,24 @@ class TestForecastAndBacktest:
         assert sum(tails) == pytest.approx(0.2, abs=1e-12)
 
     @pytest.mark.parametrize("method", ["maxent", "sampling", "naive"])
-    def test_forecast_rejects_window_below_two(self, tmp_path, method):
+    def test_forecast_rejects_window_below_two(self, tmp_path, capsys, method):
         inp = write_states_csv(tmp_path, [1, -1, 0, 1, 1])
-        code = main(["forecast", "--input", str(inp), "--window", "0", "--method", method,
-                     "--horizon", "2", "--output", str(tmp_path / "f.csv")])
-        assert code == EXIT_DATA
+        out = tmp_path / "f.csv"
+        for window in ("0", "1", "-3"):
+            code = main(["forecast", "--input", str(inp), f"--window={window}", "--method", method,
+                         "--horizon", "2", "--output", str(out)])
+            assert code == EXIT_DATA
+            assert "window must be >= 2 to observe transitions" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_forecast_refuses_a_horizon_above_the_cap(self, tmp_path, capsys):
+        # refused before the DP allocates: a ternary horizon of 1e9 would ask for ~48 GB
+        inp = write_states_csv(tmp_path, [1, -1, 0, 1, 1])
+        out = tmp_path / "f.csv"
+        assert main(["forecast", "--input", str(inp), "--window", "4", "--horizon", "1000000000",
+                     "--output", str(out)]) == EXIT_DATA
+        assert "horizon must be between 1 and 10000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_backtest_table(self, tmp_path, rng):
         values = rng.choice([-1, 0, 1], size=400)
@@ -488,6 +506,35 @@ class TestForecastAndBacktest:
         q = step_distribution(StochasticMatrix(entries, states), int(series.indices[-1]), 5)
         _, _, rows = read_artifact(out)
         assert [r[2] for r in rows if r[0] == "mass"] == [repr(float(p)) for p in q.probabilities]
+
+
+    @pytest.mark.parametrize("method", ["maxent", "sampling", "naive"])
+    @pytest.mark.parametrize("window", [2, 37, 500])
+    def test_forecast_estimates_its_trailing_window_alone(self, tmp_path, rng, monkeypatch, method, window):
+        from maxent_markov import ingest
+
+        inp = write_states_csv(tmp_path, rng.choice([-1, 0, 1], size=500))
+        seen = {}
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def call(series, *args):
+                seen.setdefault(name, []).append(series.indices.copy())
+                return real(series, *args)
+
+            monkeypatch.setattr(cli, name, call)
+
+        for name in ("_estimate", "maxent_estimate", "frequency_estimate"):
+            spy(name)
+        assert main(["forecast", "--input", str(inp), "--window", str(window), "--method", method,
+                     "--horizon", "3", "--output", str(tmp_path / "f.csv")]) == EXIT_OK
+        trailing = ingest.load_states(inp)[0].indices[-window:]
+        estimator = {"maxent": "maxent_estimate", "sampling": "frequency_estimate"}.get(method)
+        assert sorted(seen) == sorted({"_estimate", estimator} - {None})
+        for calls in seen.values():
+            assert len(calls) == 1 and calls[0].size == window
+            assert np.array_equal(calls[0], trailing)
 
 
 class TestExitCodes:

@@ -24,7 +24,7 @@ from maxent_markov import (
     tail_error,
 )
 from maxent_markov import forecast
-from maxent_markov.estimators import METHODS, _window_entries
+from maxent_markov.estimators import METHODS, _window_rows
 from maxent_markov.forecast import (
     N_TAIL_BINS,
     StepDistribution,
@@ -101,7 +101,8 @@ def walked_backtest(series, states, sizes, horizon, stride):
         delta[m] = []
         for n in sizes:
             origins = np.arange(n - 1, len(series) - horizon, stride)
-            entries = _window_entries(series, states, m, origins, np.full(origins.size, n))
+            rows, which = _window_rows(series, states, m, origins, np.full(origins.size, n))
+            entries = rows.take(which, axis=0)
             starts = series.indices[origins]
             support, masses = _step_masses(states, entries, starts, horizon)
             pred = np.zeros(N_TAIL_BINS)
@@ -294,6 +295,20 @@ class TestStepDistribution:
             step_distribution(w, 0, 0)
         with pytest.raises(ValueError):
             step_distribution(w, 5, 2)
+
+    def test_horizon_above_the_cap_is_refused_before_the_dp(self, rng, monkeypatch):
+        w = random_irreducible(rng, 3)
+        with pytest.raises(ValueError, match="horizon must be between 1 and 10000, got 1000000000"):
+            step_distribution(w, 0, 10**9)
+        monkeypatch.setattr(forecast, "_MAX_HORIZON", 5)
+        assert step_distribution(w, 0, 5).total == pytest.approx(1.0, abs=1e-12)
+
+        def no_dp(*args):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(forecast, "_step_masses", no_dp)
+        with pytest.raises(ValueError, match="horizon must be between 1 and 5, got 6"):
+            step_distribution(w, 0, 6)
 
 
 class TestBatchedCore:

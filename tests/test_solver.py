@@ -22,6 +22,7 @@ from maxent_markov import (
     maxent_nstate,
     stationary_distribution,
 )
+from maxent_markov import solver
 from maxent_markov.solver import RESIDUAL_TOL, TARGET_TOL, LagrangeResiduals, MaxEntSolution
 
 from conftest import detailed_balance_pair
@@ -192,6 +193,37 @@ class TestTwoStateClosedForm:
         with pytest.raises(InfeasibleTargetError):
             maxent_2state(target)
 
+    @pytest.mark.parametrize("target", [1 - 1e-9, -1 + 1e-9, 1 - 1e-12, float("nan")])
+    def test_rejects_the_targets_the_numeric_solver_rejects(self, target):
+        with pytest.raises(InfeasibleTargetError):
+            maxent_nstate(StateSpace.binary(), target)
+        with pytest.raises(InfeasibleTargetError):
+            maxent_2state(target)
+
+    def test_refuses_a_solution_over_the_residual_tolerance(self):
+        # a leave probability of 1e-9 holds ~1e-16 of rounding: 1e-7 relative in the log-ratio conditions
+        with pytest.raises(ConvergenceError, match="rejected"):
+            maxent_2state(1 - 2e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gap=st.floats(1e-12, 1e-3), side=st.sampled_from([-1.0, 1.0]))
+    @example(gap=2e-9, side=1.0)
+    def test_solutions_at_the_ends_meet_the_residual_tolerance(self, gap, side):
+        target = side * (1.0 - gap)
+        infeasible = []
+        for solve in (maxent_2state, lambda t: maxent_nstate(StateSpace.binary(), t)):
+            try:
+                sol = solve(target)
+            except InfeasibleTargetError:
+                infeasible.append(True)
+                continue
+            except ConvergenceError:
+                infeasible.append(False)
+                continue
+            infeasible.append(False)
+            assert sol.residual <= RESIDUAL_TOL
+        assert infeasible[0] == infeasible[1]
+
 
 class TestNumericSolver:
     def test_two_state_agreement_on_grid(self):
@@ -303,6 +335,33 @@ class TestNumericSolver:
         assert abs(matrix_autocorrelation(sol.stationary, sol.matrix) - 0.009) <= 1e-10
 
 
+class TestBatchChecks:
+    """``_maxent_batch`` raises for the first target that fails a check."""
+
+    def test_names_the_first_infeasible_target(self):
+        with pytest.raises(InfeasibleTargetError, match="autocorrelation 2.0 is not"):
+            solver._maxent_batch(TERNARY, [0.1, 2.0, 0.2, -3.0])
+
+    def test_a_nan_target_is_infeasible(self):
+        with pytest.raises(InfeasibleTargetError, match="autocorrelation nan"):
+            solver._maxent_batch(TERNARY, [0.1, float("nan")])
+
+    @pytest.mark.parametrize("first, message", [(-1, "root search missed the target autocorrelation 0.2"),
+                                                (0, "solution at autocorrelation 0.2 rejected")])
+    def test_names_the_first_target_that_misses_or_is_rejected(self, monkeypatch, first, message):
+        rows = solver._residual_rows
+
+        def failing(*args):
+            conditions = rows(*args)
+            conditions[1, first] = 1e-6  # the 2nd target fails one check ...
+            conditions[3, -1 - first] = 1e-6  # ... and the 4th the other
+            return conditions
+
+        monkeypatch.setattr(solver, "_residual_rows", failing)
+        with pytest.raises(ConvergenceError, match=message):
+            solver._maxent_batch(TERNARY, [0.1, 0.2, 0.3, 0.4])
+
+
 class TestFeasibleRange:
     def test_binary(self):
         fr = feasible_range(StateSpace.binary())
@@ -324,6 +383,12 @@ class TestFeasibleRange:
     def test_all_positive_states(self):
         fr = feasible_range(StateSpace((1.0, 2.0)))
         assert (fr.lower, fr.upper) == (1.0, 4.0)
+
+    def test_contains_takes_a_number_or_an_array(self):
+        fr = feasible_range(StateSpace.binary())
+        assert fr.contains(0.5) and not fr.contains(1 - 1e-9) and not fr.contains(float("nan"))
+        inside = fr.contains(np.array([-2.0, -1 + 2e-9, 0.0, 1 - 1e-9, np.nan]))
+        assert inside.tolist() == [False, True, True, False, False]
 
     def test_clamp(self):
         fr = feasible_range(StateSpace.binary())
